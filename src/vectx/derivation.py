@@ -1,11 +1,13 @@
 """Derive transformed pipelines from transforms of their input types.
 
-An input transform is first factored into canonical steps, each acting on
-the outer dimensions of the current type:
+An input transform is first factored into canonical steps (defined in
+``type_algebra``), each acting on the outer dimensions of the current type:
 
     Increase(k)        [t]<N>      -> [[t]<k>]<N/k>     (chunk into k-groups)
     Decrease(k)        [[t]<k>]<m> -> [t]<k*m>          (flatten one level)
     Repartition(n, k)  [[t]<k>]<m> -> [[t]<n>]<k*m/n>   (re-chunk)
+
+A transform that uses ``V`` is not a reshape and is rejected.
 
 Each step is then pushed through the pipeline one stage at a time.  A stage
 consumes the steps arriving at its input and emits the steps describing how
@@ -15,7 +17,7 @@ its output type moved; those become the next stage's context.  The rules:
              Decrease:    f' = head . f . replicate, preserved only when
                           f is declared elementwise (then f' is just the
                           declared element function).
-             Repartition: f' = f at the new width, always preserved.
+             Repartition: decrease then increase.
   foldl f    Increase:    fold the fold over each chunk, always preserved.
              Decrease:    f' acc x = f acc (replicate k x), preserved only
                           when f is a declared fold (then f' is the declared
@@ -57,6 +59,7 @@ from .program_ir import (
     WrapElemDef,
     WrapFoldDef,
     ZiptStage,
+    print_stage,
     stage_output_type,
     typecheck,
 )
@@ -68,67 +71,31 @@ from .runtime import (
 )
 from .type_algebra import (
     IDENTITY,
-    Lift,
-    MapElem,
+    Decrease,
+    Increase,
     Pair,
-    Regroup,
-    RegroupInv,
+    Repartition,
+    Step,
     Transform,
-    Unlift,
     Vec,
     VecType,
     apply_transform,
     compose,
     dims_of,
+    invert_step,
     invert_transform,
     leaf_of,
+    print_op,
+    print_step,
     print_type,
+    step_apply,
+    step_transform,
     total_size,
+    wrap_op,
 )
 
 # ---------------------------------------------------------------------------
 # Canonical steps
-
-
-@dataclass(frozen=True)
-class Increase:
-    k: int
-
-
-@dataclass(frozen=True)
-class Decrease:
-    k: int
-
-
-@dataclass(frozen=True)
-class Repartition:
-    n: int
-    k: int
-
-
-Step = Union[Increase, Decrease, Repartition]
-
-
-def print_step(step: Step) -> str:
-    if isinstance(step, Increase):
-        return f"increase {step.k}"
-    if isinstance(step, Decrease):
-        return f"decrease {step.k}"
-    return f"repartition {step.k}->{step.n}"
-
-
-def step_transform(step: Step) -> Transform:
-    lift = Transform((Lift(),))
-    unlift = Transform((Unlift(),))
-    if isinstance(step, Increase):
-        return Transform((Regroup(step.k), MapElem(lift)))
-    if isinstance(step, Decrease):
-        return Transform((MapElem(unlift), RegroupInv(step.k)))
-    return Transform((Regroup(step.n), RegroupInv(step.k)))
-
-
-def step_apply(step: Step, t: VecType) -> VecType:
-    return apply_transform(step_transform(step), t)
 
 
 def steps_to_transform(steps) -> Transform:
@@ -154,6 +121,11 @@ def _steps_between_dims(src: tuple[int, ...], tgt: tuple[int, ...]) -> list[Step
 
 def factor_transform(tr: Transform, t: VecType) -> tuple[Step, ...]:
     """Rewrite a transform of t into canonical steps with the same effect."""
+    op = wrap_op(tr)
+    if op is not None:
+        raise DerivationError(
+            f"{print_op(op)} replicates or projects, so it is not a reshape and has no derivation"
+        )
     target = apply_transform(tr, t)
     steps = _factor_between(t, target)
     cur = t
@@ -204,20 +176,13 @@ class ConditionallyPreserved:
     satisfied: bool
 
 
-@dataclass(frozen=True)
-class Unknown:
-    pass
-
-
-Verdict = Union[Preserved, ConditionallyPreserved, Unknown]
+Verdict = Union[Preserved, ConditionallyPreserved]
 
 
 def _rank(v: Verdict) -> int:
     if isinstance(v, Preserved):
         return 0
-    if isinstance(v, ConditionallyPreserved):
-        return 1 if v.satisfied else 2
-    return 3
+    return 1 if v.satisfied else 2
 
 
 def combine_verdicts(verdicts) -> Verdict:
@@ -244,10 +209,8 @@ def expects_preservation(v: Verdict) -> bool:
 def print_verdict(v: Verdict) -> str:
     if isinstance(v, Preserved):
         return "Preserved"
-    if isinstance(v, ConditionallyPreserved):
-        state = "satisfied" if v.satisfied else "unsatisfied"
-        return f"ConditionallyPreserved({v.condition}; {state})"
-    return "Unknown"
+    state = "satisfied" if v.satisfied else "unsatisfied"
+    return f"ConditionallyPreserved({v.condition}; {state})"
 
 
 # ---------------------------------------------------------------------------
@@ -326,25 +289,7 @@ def derive_map_step(step: Step, stage: MapStage, in_type: VecType, table: _FnTab
             ConditionallyPreserved(condition, False),
             frozenset({f"toVector {k}", f"fromVector {k}"}),
         )
-    # Repartition: the function is reused verbatim at the new chunk width.
-    n, k = step.n, step.k
-    if not (isinstance(arg, Vec) and arg.size == k and isinstance(ret, Vec) and ret.size == k):
-        raise DerivationError(
-            f"cannot repartition map {fn.name}: its signature is not "
-            f"[t]<{k}> -> [t']<{k}>"
-        )
-    if isinstance(fn.defn, (WrapElemDef, WrapFoldDef)):
-        raise DerivationError(
-            f"cannot resize wrapper-derived function {fn.name} to width {n}"
-        )
-    resized = replace(
-        fn,
-        name=f"{fn.name}__n{n}",
-        sig=FnSig((Vec(n, arg.element),), Vec(n, ret.element)),
-    )
-    return StepResult(
-        MapStage(table.ensure(resized)), Repartition(n, k), Preserved(), frozenset()
-    )
+    return _decrease_then_increase(derive_map_step, step, stage, in_type, table)
 
 
 def derive_fold_step(step: Step, stage: FoldStage, in_type: VecType, table: _FnTable) -> StepResult:
@@ -387,29 +332,28 @@ def derive_fold_step(step: Step, stage: FoldStage, in_type: VecType, table: _FnT
             ConditionallyPreserved(condition, False),
             frozenset({f"toVector {k}"}),
         )
-    # Repartition = flatten then re-chunk; the verdict is the conjunction.
-    dec = derive_fold_step(Decrease(step.k), stage, in_type, table)
-    mid_type = step_apply(Decrease(step.k), in_type)
-    inc = derive_fold_step(Increase(step.n), dec.stage, mid_type, table)
+    return _decrease_then_increase(derive_fold_step, step, stage, in_type, table)
+
+
+def _decrease_then_increase(
+    rule, step: Repartition, stage: Stage, in_type: VecType, table: _FnTable
+) -> StepResult:
+    """A Repartition as flatten then re-chunk, each through the stage's rule.
+    A chunk function need not work at another width, so the verdict is the
+    conjunction of the two."""
+    dec = rule(Decrease(step.k), stage, in_type, table)
+    inc = rule(Increase(step.n), dec.stage, step_apply(Decrease(step.k), in_type), table)
     return StepResult(
         inc.stage,
-        None,
+        None if inc.out_step is None else step,
         combine_verdicts([dec.verdict, inc.verdict]),
         dec.combinators | inc.combinators,
     )
 
 
-def _undo_stages(step: Step) -> tuple[Stage, ...]:
-    """Stages that map a step-transformed value back to the original."""
-    if isinstance(step, Increase):
-        return (ReshapeFromStage(step.k),)
-    if isinstance(step, Decrease):
-        return (ReshapeToStage(step.k),)
-    return (ReshapeFromStage(step.n), ReshapeToStage(step.k))
-
-
 def _realize_stages(step: Step) -> tuple[Stage, ...]:
-    """Stages that perform a step on values."""
+    """Stages that perform a step on values; those that undo it perform
+    ``invert_step(step)``."""
     if isinstance(step, Increase):
         return (ReshapeToStage(step.k),)
     if isinstance(step, Decrease):
@@ -417,22 +361,12 @@ def _realize_stages(step: Step) -> tuple[Stage, ...]:
     return (ReshapeFromStage(step.k), ReshapeToStage(step.n))
 
 
-def _combinators_for(step: Step) -> frozenset[str]:
-    if isinstance(step, Increase):
-        return frozenset({f"reshapeTo {step.k}"})
-    if isinstance(step, Decrease):
-        return frozenset({f"reshapeFrom {step.k}"})
-    return frozenset({f"reshapeFrom {step.k}", f"reshapeTo {step.n}"})
-
-
 def _conjugate(step: Step, stage: Stage) -> StepResult:
     """Undo the input step, then run the original stage unchanged."""
-    undo = _undo_stages(step)
-    combos = frozenset(
-        f"reshapeTo {s.k}" if isinstance(s, ReshapeToStage) else f"reshapeFrom {s.k}"
-        for s in undo
+    undo = _realize_stages(invert_step(step))
+    return StepResult(
+        ComposedStage(undo + (stage,)), None, Preserved(), frozenset(map(print_stage, undo))
     )
-    return StepResult(ComposedStage(undo + (stage,)), None, Preserved(), combos)
 
 
 def derive_zip_step(step: Step, stage: Stage, in_type: VecType, table: _FnTable) -> StepResult:
@@ -610,17 +544,13 @@ def derive(program: Program, tr: Transform) -> Derivation:
     used = {name for name, _ in derived_stages}
     pre: list[tuple[str, Stage]] = []
     for i, step in enumerate(input_steps, start=1):
-        combinators |= _combinators_for(step)
         for st in _realize_stages(step):
             pre.append((_fresh_name(f"pre_{i}", used), st))
     post: list[tuple[str, Stage]] = []
     for i, step in enumerate(reversed(output_steps), start=1):
-        for st in _undo_stages(step):
+        for st in _realize_stages(invert_step(step)):
             post.append((_fresh_name(f"post_{i}", used), st))
-        combinators |= frozenset(
-            f"reshapeTo {s.k}" if isinstance(s, ReshapeToStage) else f"reshapeFrom {s.k}"
-            for s in _undo_stages(step)
-        )
+    combinators |= {print_stage(st) for _, st in pre + post}
     boundary = Program(
         program.input_name,
         program.input_type,

@@ -70,10 +70,6 @@ class VerificationFailure(VectxError):
     category = "verify"
 
 
-class EmptySearchSpaceError(VectxError):
-    category = "derivation"
-
-
 EXIT_CODES = {
     "parse": 1,
     "type": 2,

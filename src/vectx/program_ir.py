@@ -26,15 +26,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .errors import ParseError, StageTypeError
-from .runtime import PRIMITIVES, Value, conforms, parse_value, print_value, shape_of
+from .errors import ParseError, StageTypeError, VectxError
+from .runtime import PRIMITIVES, Value, conforms, parse_value, print_value
 from .type_algebra import (
-    Atom,
+    Decrease,
+    Increase,
     Pair,
     Vec,
     VecType,
     parse_type,
     print_type,
+    step_apply,
 )
 
 # ---------------------------------------------------------------------------
@@ -82,14 +84,6 @@ class OpaqueFn:
     name: str
     sig: FnSig
     defn: Optional[FnDef] = None
-
-    @property
-    def elementwise_of(self) -> Optional[str]:
-        return self.defn.fn if isinstance(self.defn, ElementwiseDef) else None
-
-    @property
-    def foldof(self) -> Optional[str]:
-        return self.defn.fn if isinstance(self.defn, FoldOfDef) else None
 
 
 # ---------------------------------------------------------------------------
@@ -217,28 +211,12 @@ def stage_output_type(stage: Stage, t: VecType, fns: dict[str, OpaqueFn], name: 
         if not isinstance(t, Vec) or not isinstance(t.element, Pair):
             _fail(name, f"unzipt needs a vector of pairs, got {print_type(t)}")
         return Pair(Vec(t.size, t.element.fst), Vec(t.size, t.element.snd))
-    if isinstance(stage, ReshapeToStage):
-        if isinstance(t, Pair):
-            return Pair(
-                stage_output_type(stage, t.fst, fns, name),
-                stage_output_type(stage, t.snd, fns, name),
-            )
-        if not isinstance(t, Vec):
-            _fail(name, f"reshapeTo needs a vector, got {print_type(t)}")
-        if t.size % stage.k != 0:
-            _fail(name, f"reshapeTo {stage.k}: size {t.size} not divisible")
-        return Vec(t.size // stage.k, Vec(stage.k, t.element))
-    if isinstance(stage, ReshapeFromStage):
-        if isinstance(t, Pair):
-            return Pair(
-                stage_output_type(stage, t.fst, fns, name),
-                stage_output_type(stage, t.snd, fns, name),
-            )
-        if not isinstance(t, Vec) or not isinstance(t.element, Vec):
-            _fail(name, f"reshapeFrom needs a nested vector, got {print_type(t)}")
-        if t.element.size != stage.k:
-            _fail(name, f"reshapeFrom {stage.k}: inner size is {t.element.size}")
-        return Vec(t.size * t.element.size, t.element.element)
+    if isinstance(stage, (ReshapeToStage, ReshapeFromStage)):
+        step = Increase(stage.k) if isinstance(stage, ReshapeToStage) else Decrease(stage.k)
+        try:
+            return step_apply(step, t)
+        except VectxError as e:
+            _fail(name, f"{print_stage(stage)}: {e}")
     if isinstance(stage, ComposedStage):
         for sub in stage.stages:
             t = stage_output_type(sub, t, fns, name)
@@ -336,6 +314,16 @@ def _parse_sig(text: str, line_no: int) -> FnSig:
     return FnSig(tuple(types[:-1]), types[-1])
 
 
+def _parse_size(text: str, what: str, line_no: int) -> int:
+    try:
+        k = int(text)
+    except ValueError:
+        raise ParseError(f"{what} needs an integer", line=line_no) from None
+    if k < 1:
+        raise ParseError(f"{what} needs a size >= 1", line=line_no)
+    return k
+
+
 def _parse_stage(rest: str, fns: dict[str, OpaqueFn], line_no: int) -> Stage:
     words = rest.split(None, 1)
     if not words:
@@ -362,12 +350,7 @@ def _parse_stage(rest: str, fns: dict[str, OpaqueFn], line_no: int) -> Stage:
     if kind == "unzipt":
         return UnziptStage()
     if kind in ("reshapeTo", "reshapeFrom"):
-        try:
-            k = int(arg)
-        except ValueError:
-            raise ParseError(f"{kind} needs an integer", line=line_no)
-        if k < 1:
-            raise ParseError(f"{kind} needs a size >= 1", line=line_no)
+        k = _parse_size(arg, kind, line_no)
         return ReshapeToStage(k) if kind == "reshapeTo" else ReshapeFromStage(k)
     raise ParseError(f"unknown stage kind {kind!r}", line=line_no)
 
@@ -426,9 +409,9 @@ def parse_program(text: str) -> Program:
                 elif kind == "foldof" and len(words) == 2:
                     defs[name] = FoldOfDef(words[1])
                 elif kind == "wrapelem" and len(words) == 3:
-                    defs[name] = WrapElemDef(words[1], int(words[2]))
+                    defs[name] = WrapElemDef(words[1], _parse_size(words[2], kind, line_no))
                 elif kind == "wrapfold" and len(words) == 3:
-                    defs[name] = WrapFoldDef(words[1], int(words[2]))
+                    defs[name] = WrapFoldDef(words[1], _parse_size(words[2], kind, line_no))
                 else:
                     raise ParseError(f"bad function definition {body.strip()!r}", line=line_no)
                 if name not in order:
@@ -518,7 +501,7 @@ def _print_defn(d: FnDef) -> str:
     raise TypeError(f"unknown definition {d!r}")
 
 
-def _print_stage(s: Stage) -> str:
+def print_stage(s: Stage) -> str:
     if isinstance(s, MapStage):
         return f"map {s.fn}"
     if isinstance(s, FoldStage):
@@ -535,14 +518,19 @@ def _print_stage(s: Stage) -> str:
 
 
 def flatten_composed(program: Program) -> Program:
-    """Split composed stages into consecutive named stages for printing."""
+    """Split composed stages, at every depth, into consecutive named stages
+    for printing."""
     out = []
-    for name, stage in program.stages:
+
+    def add(name: str, stage: Stage):
         if isinstance(stage, ComposedStage):
             for i, sub in enumerate(stage.stages, start=1):
-                out.append((f"{name}_{i}", sub))
+                add(f"{name}_{i}", sub)
         else:
             out.append((name, stage))
+
+    for name, stage in program.stages:
+        add(name, stage)
     return Program(
         program.input_name,
         program.input_type,
@@ -561,7 +549,7 @@ def print_program(program: Program) -> str:
         if fn.defn is not None:
             lines.append(f"fn {fn.name} = {_print_defn(fn.defn)}")
     for name, stage in program.stages:
-        lines.append(f"stage {name} = {_print_stage(stage)}")
+        lines.append(f"stage {name} = {print_stage(stage)}")
     chain = " |> ".join(name for name, _ in program.stages)
     applied = f"{chain} {program.input_name}" if chain else program.input_name
     lines.append(f"result {program.result_name} = {applied}")

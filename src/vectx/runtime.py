@@ -5,42 +5,53 @@ uniformly shaped sequences for vectors.  Everything here is a pure function
 over immutable values, and all comparisons are exact — scalars are plain
 integers, so semantic-preservation checks are bit-exact.
 
-The combinators are the value-level counterparts of the type operations:
-``reshape_to``/``reshape_from`` re-chunk a vector without touching element
-order, ``to_vector``/``from_vector`` replicate and project, and
-``zipt``/``unzipt`` convert between a pair of vectors and a vector of pairs.
+A value reshape is "flatten the leaves, rebuild at the target type".  ``S``,
+``R`` and ``M`` re-partition the ordered leaves without reordering them, so
+``apply_transform_value`` reads the sizes of a value, takes the target sizes
+from ``type_algebra.apply_transform`` and regroups the same leaves at them.
+It is the one value-level reshape: ``reshape_to``/``reshape_from`` are the
+``Increase``/``Decrease`` steps run through it, and the reshape stages of a
+program are typed by the same steps (``program_ir.stage_output_type``).
+There is no per-operation value interpreter and no reshape arithmetic in the
+stage typing: ``type_algebra`` is the only statement of what each operation
+does.
+
+``V`` is type-level only: replication and projection are not reshapes.  The
+``to_vector``/``from_vector`` combinators replicate and project for the
+``wrapelem``/``wrapfold`` functions, and ``zipt``/``unzipt`` convert between
+a pair of vectors and a vector of pairs.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Union
 
 from .errors import (
-    DimensionError,
-    DivisibilityError,
     LengthMismatchError,
     MissingPrimitiveError,
     ParseError,
     ShapeError,
-    TypeMismatchError,
 )
 from .type_algebra import (
     Atom,
-    Ident,
-    Lift,
-    MapElem,
+    Decrease,
+    Increase,
     Pair,
-    Regroup,
-    RegroupInv,
+    Step,
     Transform,
-    Unlift,
-    Unwrap,
     Vec,
     VecType,
-    Wrap,
+    apply_transform,
+    dims_of,
+    from_dims,
+    print_op,
+    print_step,
     print_type,
+    step_transform,
+    wrap_op,
 )
 
 # ---------------------------------------------------------------------------
@@ -123,29 +134,22 @@ def random_value(t: VecType, rng: random.Random, lo: int = -99, hi: int = 99) ->
 
 def reshape_to(k: int, v: Value) -> Value:
     """Chunk a vector into groups of k, preserving element order."""
-    if isinstance(v, TupVal):
-        return TupVal(reshape_to(k, v.fst), reshape_to(k, v.snd))
-    if not isinstance(v, VecVal):
-        raise ShapeError("reshapeTo needs a vector")
-    if len(v.items) % k != 0:
-        raise DivisibilityError(f"reshapeTo {k}: length {len(v.items)} not divisible")
-    return VecVal(
-        tuple(VecVal(v.items[i : i + k]) for i in range(0, len(v.items), k))
-    )
+    return _step_value(Increase(k), v)
 
 
 def reshape_from(k: int, v: Value) -> Value:
     """Concatenate uniform chunks of length k back into a flat vector."""
-    if isinstance(v, TupVal):
-        return TupVal(reshape_from(k, v.fst), reshape_from(k, v.snd))
-    if not isinstance(v, VecVal):
-        raise ShapeError("reshapeFrom needs a vector")
-    out = []
-    for chunk in v.items:
-        if not isinstance(chunk, VecVal) or len(chunk.items) != k:
-            raise ShapeError(f"reshapeFrom {k}: inner chunks must have length {k}")
-        out.extend(chunk.items)
-    return VecVal(tuple(out))
+    return _step_value(Decrease(k), v)
+
+
+def _step_value(step: Step, v: Value) -> Value:
+    """A step on a value.  As in ``step_apply``, each component must be a
+    vector: on a leaf, ``R`` and ``M`` are identities and the step would be
+    lost."""
+    for part in (v.fst, v.snd) if isinstance(v, TupVal) else (v,):
+        if not isinstance(part, VecVal):
+            raise ShapeError(f"{print_step(step)} needs a vector value")
+    return apply_transform_value(step_transform(step), v)
 
 
 def to_vector(k: int, v: Value) -> VecVal:
@@ -198,72 +202,55 @@ def flatten(v: Value) -> VecVal:
 
 
 def apply_transform_value(tr: Transform, v: Value) -> Value:
-    """Value-level mirror of ``apply_transform``: reshapes only, never
-    reorders; the fully flattened element sequence is preserved by every
-    operation except replication/projection (``V k`` and its inverse).
+    """Reshape a value: flatten the leaves, rebuild at the target type.
+
+    The sizes of ``v`` are read off its first-element spine, and the target
+    sizes are those of ``apply_transform(tr, ...)`` on them, so the type
+    algebra alone says what ``S``, ``R`` and ``M`` do.  The longest innermost
+    run of sizes that source and target share is kept as opaque leaves; every
+    vector above it is checked, and a ragged one raises ``ShapeError``.
 
     As at the type level, only a top-level pair is split; a pair that is the
-    element of a vector is a leaf and is never taken apart."""
+    element of a vector is a leaf.  ``V`` is type-level only: it replicates
+    and projects, which is not a reshape, so a transform using it raises
+    ``ShapeError``."""
     if isinstance(v, TupVal):
         return TupVal(apply_transform_value(tr, v.fst), apply_transform_value(tr, v.snd))
-    return _apply_ops_value(tr, v)
+    sizes = []  # outermost first
+    x = v
+    while isinstance(x, VecVal):
+        if not x.items:
+            raise ShapeError("empty vector has no shape")
+        sizes.append(len(x.items))
+        x = x.items[0]
+    unfold, rebuild = _reshape_plan(tr, tuple(sizes))
+    leaves = (v,)
+    for n in unfold:
+        level = []
+        for x in leaves:
+            if not isinstance(x, VecVal) or len(x.items) != n:
+                raise ShapeError(f"ragged value: expected a vector of length {n}")
+            level += x.items
+        leaves = tuple(level)
+    for n in rebuild:
+        leaves = tuple([VecVal(leaves[i : i + n]) for i in range(0, len(leaves), n)])
+    return leaves[0]
 
 
-def _apply_ops_value(tr: Transform, v: Value) -> Value:
-    for pos in range(len(tr.ops) - 1, -1, -1):
-        v = _apply_op_value(tr.ops[pos], v)
-    return v
-
-
-def _apply_op_value(op, v: Value) -> Value:
-    if isinstance(op, Lift):
-        return VecVal((v,))
-    if isinstance(op, Unlift):
-        if not isinstance(v, VecVal) or len(v.items) != 1:
-            raise DimensionError("S^-1 needs a one-element vector")
-        return v.items[0]
-    if isinstance(op, MapElem):
-        if not isinstance(v, VecVal):
-            return v
-        return VecVal(tuple(_apply_ops_value(op.inner, item) for item in v.items))
-    if isinstance(op, Regroup):
-        if not isinstance(v, VecVal):
-            return v
-        if len(v.items) % op.m != 0:
-            raise DivisibilityError(f"R {op.m}: outer length {len(v.items)} not divisible")
-        merged = []
-        for i in range(0, len(v.items), op.m):
-            group = []
-            for chunk in v.items[i : i + op.m]:
-                if not isinstance(chunk, VecVal):
-                    raise ShapeError("R needs a nested vector value")
-                group.extend(chunk.items)
-            merged.append(VecVal(tuple(group)))
-        return VecVal(tuple(merged))
-    if isinstance(op, RegroupInv):
-        if not isinstance(v, VecVal):
-            return v
-        split = []
-        for chunk in v.items:
-            if not isinstance(chunk, VecVal):
-                raise ShapeError("R^-1 needs a nested vector value")
-            if len(chunk.items) % op.m != 0:
-                raise DivisibilityError(
-                    f"R^-1 {op.m}: inner length {len(chunk.items)} not divisible"
-                )
-            width = len(chunk.items) // op.m
-            for i in range(0, len(chunk.items), width):
-                split.append(VecVal(chunk.items[i : i + width]))
-        return VecVal(tuple(split))
-    if isinstance(op, Ident):
-        return v
-    if isinstance(op, Wrap):
-        return to_vector(op.k, v)
-    if isinstance(op, Unwrap):
-        if not isinstance(v, VecVal) or len(v.items) != op.k:
-            raise TypeMismatchError(f"V^-1 {op.k} does not apply to this value")
-        return v.items[0]
-    raise TypeError(f"unknown operation {op!r}")
+@lru_cache(maxsize=1024)
+def _reshape_plan(tr: Transform, sizes: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """For a value of outermost-first ``sizes``, the sizes to unfold it by,
+    outermost first, and to rebuild its leaves at, innermost first.  The
+    innermost run of sizes it shares with its image under tr is left out."""
+    op = wrap_op(tr)
+    if op is not None:
+        raise ShapeError(f"{print_op(op)} replicates or projects; a value can only be reshaped")
+    dims = sizes[::-1]
+    target = dims_of(apply_transform(tr, from_dims(Atom("_"), dims)))
+    shared = 0
+    while shared < min(len(dims), len(target)) and dims[shared] == target[shared]:
+        shared += 1
+    return sizes[: len(sizes) - shared], target[shared:]
 
 
 # ---------------------------------------------------------------------------
@@ -434,18 +421,17 @@ PRIMITIVES: dict[str, tuple[int, Callable[..., Value]]] = {
 # Interpreter
 
 
-def call_fn(fn, args: list[Value], fns, env=None) -> Value:
+def call_fn(fn, args: list[Value], fns) -> Value:
     """Execute a named function given the program's function table."""
     from .program_ir import ElementwiseDef, FoldOfDef, PrimDef, WrapElemDef, WrapFoldDef
 
-    env = PRIMITIVES if env is None else env
     if fn.defn is None:
         raise MissingPrimitiveError(f"function {fn.name} has no executable body")
     d = fn.defn
     if isinstance(d, PrimDef):
-        if d.prim not in env:
+        if d.prim not in PRIMITIVES:
             raise MissingPrimitiveError(f"unknown primitive {d.prim!r}")
-        arity, impl = env[d.prim]
+        arity, impl = PRIMITIVES[d.prim]
         if arity != len(args):
             raise ShapeError(
                 f"primitive {d.prim} takes {arity} arguments, got {len(args)}"
@@ -454,25 +440,25 @@ def call_fn(fn, args: list[Value], fns, env=None) -> Value:
     if isinstance(d, ElementwiseDef):
         (xs,) = args
         inner = fns[d.fn]
-        return VecVal(tuple(call_fn(inner, [x], fns, env) for x in _vec(xs).items))
+        return VecVal(tuple(call_fn(inner, [x], fns) for x in _vec(xs).items))
     if isinstance(d, FoldOfDef):
         acc, xs = args
         inner = fns[d.fn]
         for x in _vec(xs).items:
-            acc = call_fn(inner, [acc, x], fns, env)
+            acc = call_fn(inner, [acc, x], fns)
         return acc
     if isinstance(d, WrapElemDef):
         (x,) = args
         inner = fns[d.fn]
-        return from_vector(d.k, call_fn(inner, [to_vector(d.k, x)], fns, env))
+        return from_vector(d.k, call_fn(inner, [to_vector(d.k, x)], fns))
     if isinstance(d, WrapFoldDef):
         acc, x = args
         inner = fns[d.fn]
-        return call_fn(inner, [acc, to_vector(d.k, x)], fns, env)
+        return call_fn(inner, [acc, to_vector(d.k, x)], fns)
     raise TypeError(f"unknown definition {d!r}")
 
 
-def run_stage(stage, v: Value, fns, env=None) -> Value:
+def run_stage(stage, v: Value, fns) -> Value:
     from .program_ir import (
         ComposedStage,
         FoldStage,
@@ -485,12 +471,12 @@ def run_stage(stage, v: Value, fns, env=None) -> Value:
 
     if isinstance(stage, MapStage):
         fn = fns[stage.fn]
-        return VecVal(tuple(call_fn(fn, [x], fns, env) for x in _vec(v).items))
+        return VecVal(tuple(call_fn(fn, [x], fns) for x in _vec(v).items))
     if isinstance(stage, FoldStage):
         fn = fns[stage.fn]
         acc = stage.acc
         for x in _vec(v).items:
-            acc = call_fn(fn, [acc, x], fns, env)
+            acc = call_fn(fn, [acc, x], fns)
         return acc
     if isinstance(stage, ZiptStage):
         return zipt(v)
@@ -502,17 +488,17 @@ def run_stage(stage, v: Value, fns, env=None) -> Value:
         return reshape_from(stage.k, v)
     if isinstance(stage, ComposedStage):
         for sub in stage.stages:
-            v = run_stage(sub, v, fns, env)
+            v = run_stage(sub, v, fns)
         return v
     raise TypeError(f"unknown stage {stage!r}")
 
 
-def eval_program(program, v: Value, env=None) -> Value:
+def eval_program(program, v: Value) -> Value:
     """Run a pipeline on an input value; the semantic oracle for derivations."""
     if not conforms(v, program.input_type):
         raise ShapeError(
             f"input value does not conform to {print_type(program.input_type)}"
         )
     for _, stage in program.stages:
-        v = run_stage(stage, v, program.fns, env)
+        v = run_stage(stage, v, program.fns)
     return v

@@ -24,12 +24,18 @@ Transforms are sequences of primitive operations applied right to left:
 is excluded from the size-invariance guarantees.  Every transform built from
 these operations is invertible, and any two types with the same leaf and the
 same total size are connected by one (``path_between``).
+
+``S``, ``M`` and ``R`` re-partition the ordered leaves without reordering
+them, so the types alone fix what they do to a value.  ``V`` replicates and
+projects; it lives at the type level only (``wrap_op`` finds it), and the
+derivation and the value layer reject it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from functools import lru_cache
+from typing import Optional, Union
 
 from .errors import (
     AtomMismatchError,
@@ -39,6 +45,7 @@ from .errors import (
     ShapeError,
     SizeMismatchError,
     TypeMismatchError,
+    VectxError,
 )
 
 # ---------------------------------------------------------------------------
@@ -219,9 +226,7 @@ def _apply_ops(tr: Transform, t: VecType) -> VecType:
         op = tr.ops[pos]
         try:
             t = _apply_op(op, t)
-        except (ValueError, TypeError):
-            raise
-        except Exception as e:
+        except VectxError as e:
             raise type(e)(f"op {print_op(op)} at position {pos}: {e}") from e
     return t
 
@@ -271,6 +276,20 @@ def _apply_op(op: TypeOp, t: VecType) -> VecType:
             raise TypeMismatchError(f"V^-1 {op.k} does not apply to {print_type(t)}")
         return t.element
     raise TypeError(f"unknown operation {op!r}")
+
+
+def wrap_op(tr: Transform) -> Optional[TypeOp]:
+    """The first ``V k`` or ``V^-1 k`` in tr at any depth, or None.
+
+    ``V`` replicates and ``V^-1`` projects, so a transform that uses either is
+    not a reshape: it has no derivation and no value-level counterpart.
+    """
+    for op in tr.ops:
+        if isinstance(op, (Wrap, Unwrap)):
+            return op
+        if isinstance(op, MapElem) and (inner := wrap_op(op.inner)) is not None:
+            return inner
+    return None
 
 
 def invert_op(op: TypeOp) -> TypeOp:
@@ -335,6 +354,70 @@ def path_between(t1: VecType, t2: VecType) -> Transform:
     down, _ = canonicalize(t1)
     up, _ = canonicalize(t2)
     return compose(invert_transform(up), down)
+
+
+# ---------------------------------------------------------------------------
+# Canonical steps: a reshape between vector types factors into these.
+
+
+@dataclass(frozen=True)
+class Increase:
+    """[t]<N> becomes [[t]<k>]<N/k>: chunk into k-groups."""
+
+    k: int
+
+
+@dataclass(frozen=True)
+class Decrease:
+    """[[t]<k>]<m> becomes [t]<k*m>: flatten one level."""
+
+    k: int
+
+
+@dataclass(frozen=True)
+class Repartition:
+    """[[t]<k>]<m> becomes [[t]<n>]<k*m/n>: re-chunk."""
+
+    n: int
+    k: int
+
+
+Step = Union[Increase, Decrease, Repartition]
+
+
+def print_step(step: Step) -> str:
+    if isinstance(step, Increase):
+        return f"increase {step.k}"
+    if isinstance(step, Decrease):
+        return f"decrease {step.k}"
+    return f"repartition {step.k}->{step.n}"
+
+
+@lru_cache(maxsize=256)
+def step_transform(step: Step) -> Transform:
+    """The step as a transform in ``S``, ``R`` and ``M``."""
+    if isinstance(step, Increase):
+        return Transform((Regroup(step.k), MapElem(Transform((Lift(),)))))
+    if isinstance(step, Decrease):
+        return Transform((MapElem(Transform((Unlift(),))), RegroupInv(step.k)))
+    return Transform((Regroup(step.n), RegroupInv(step.k)))
+
+
+def invert_step(step: Step) -> Step:
+    if isinstance(step, Increase):
+        return Decrease(step.k)
+    if isinstance(step, Decrease):
+        return Increase(step.k)
+    return Repartition(step.k, step.n)
+
+
+def step_apply(step: Step, t: VecType) -> VecType:
+    """The type a step carries t to.  Each component of t must be a vector:
+    on a leaf, ``R`` and ``M`` are identities and the step would be lost."""
+    for part in (t.fst, t.snd) if isinstance(t, Pair) else (t,):
+        if not isinstance(part, Vec):
+            raise ShapeError(f"{print_step(step)} needs a vector, got {print_type(part)}")
+    return apply_transform(step_transform(step), t)
 
 
 # ---------------------------------------------------------------------------

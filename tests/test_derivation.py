@@ -15,6 +15,7 @@ from vectx.derivation import (
     derive_fold_step,
     derive_map_step,
     derive_zip_step,
+    expects_preservation,
     factor_transform,
     step_apply,
     steps_to_transform,
@@ -185,13 +186,21 @@ def test_map_decrease_without_annotation_wraps():
 
 
 def test_map_repartition_reuses_function():
+    # Repartition is Decrease then Increase: an opaque chunk function such as
+    # reverse is not width-independent, so its reuse is conditional.
+    target = parse_type("[a]<6><2>")
     p = parse_program(CHUNKED_MAP_OPAQUE)
     table = _FnTable(p.fns)
     res = derive_map_step(Repartition(6, 3), p.stages[0][1], p.input_type, table)
-    assert res.stage == MapStage("f__n6")
-    assert table["f__n6"].sig.args == (parse_type("[a]<6>"),)
-    assert table["f__n6"].defn == p.fns["f"].defn
-    assert res.verdict == Preserved()
+    assert res.verdict == ConditionallyPreserved("f = map h", False)
+    d = derive(p, path_between(p.input_type, target))
+    assert d.input_steps == (Repartition(6, 3),)
+    rep = verify(d, trials=10, seed=1)
+    assert rep.failures > 0 and not rep.hard_failure
+
+    d = derive(parse_program(CHUNKED_MAP), path_between(p.input_type, target))
+    assert expects_preservation(d.verdict)
+    assert verify(d, trials=10, seed=1).failures == 0
 
 
 def test_map_decrease_signature_mismatch():
@@ -345,6 +354,23 @@ def test_derive_boundary_program_reproduces_original():
         for _ in range(20):
             v = random_value(p.input_type, rng)
             assert eval_program(d.boundary, v) == eval_program(p, v)
+
+
+def test_derive_rejects_replication():
+    # V^-1 2 projects and M ( V 2 ) replicates: the sizes match a reshape's,
+    # but the values do not, so there is nothing to derive.
+    p = parse_program(CHUNKED_MAP.replace("[[a]<3>]<4>", "[[a]<3>]<2>"))
+    with pytest.raises(DerivationError, match="V 2 replicates or projects"):
+        derive(p, parse_transform("M ( V 2 ) V^-1 2"))
+
+
+def test_nested_conjugation_prints_and_round_trips():
+    p = parse_program("input s :: [a]<8>\nstage t = reshapeTo 2\nresult r = t s\n")
+    d = derive(p, path_between(p.input_type, parse_type("[a]<2><2><2>")))
+    text = print_program(d.derived)
+    assert typecheck(parse_program(text)).result_type == typecheck(d.derived).result_type
+    rep = verify(d, trials=10, seed=2)
+    assert rep.failures == 0
 
 
 def test_derived_program_round_trips_through_text():

@@ -116,6 +116,30 @@ result r = g s
         typecheck(parse_program(bad))
 
 
+@pytest.mark.parametrize("kind", ["wrapelem", "wrapfold"])
+def test_wrapper_size_must_be_an_integer(kind):
+    text = MAP_PROGRAM.replace("fn f = prim add1", f"fn f = {kind} g x")
+    with pytest.raises(ParseError, match="at line 3"):
+        parse_program(text)
+
+
+@pytest.mark.parametrize(
+    "input_type, stages",
+    [
+        ("[a]<4>", "reshapeTo 3"),
+        ("[a]<4>", "reshapeFrom 2"),
+        ("[[a]<3>]<2>", "reshapeFrom 2"),
+        ("([a]<2>,[b]<3>)", "reshapeTo 3"),
+        ("a", "reshapeTo 1"),
+        ("(a,[b]<2>)", "reshapeFrom 1"),
+    ],
+)
+def test_reshape_stage_typing_errors(input_type, stages):
+    text = f"input s :: {input_type}\nstage t = {stages}\nresult r = t s\n"
+    with pytest.raises(StageTypeError, match="stage t"):
+        typecheck(parse_program(text))
+
+
 def test_undeclared_function_is_parse_error():
     with pytest.raises(ParseError):
         parse_program(MAP_PROGRAM.replace("stage g = map f", "stage g = map nope"))

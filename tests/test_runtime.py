@@ -77,6 +77,14 @@ def test_reshape_to_divisibility():
         reshape_to(4, ints(1, 2, 3))
 
 
+def test_reshape_needs_a_vector():
+    for reshape in (reshape_to, reshape_from):
+        with pytest.raises(ShapeError, match="needs a vector"):
+            reshape(1, iv(3))
+        with pytest.raises(ShapeError, match="needs a vector"):
+            reshape(1, TupVal(ints(1), iv(2)))
+
+
 def test_reshape_round_trip():
     rng = random.Random(5)
     for _ in range(50):
@@ -184,6 +192,18 @@ def test_transform_value_tracks_type_on_vectors_of_pairs():
         out = apply_transform_value(tr, v)
         assert shape_of(out) == apply_transform(tr, shape_of(v))
         assert flatten(out) == flatten(v)
+
+
+def test_transform_value_rejects_wrap():
+    v = vv(ints(1, 2, 3), ints(4, 5, 6))
+    for text in ("M ( V 2 ) V^-1 2", "V 1", "M ( M ( V^-1 1 ) )"):
+        with pytest.raises(ShapeError, match="replicates or projects"):
+            apply_transform_value(parse_transform(text), v)
+
+
+def test_transform_value_rejects_ragged():
+    with pytest.raises(ShapeError):
+        apply_transform_value(parse_transform("R 2 R^-1 3"), vv(ints(1, 2, 3), ints(4, 5)))
 
 
 def test_flatten_fully():
