@@ -59,6 +59,7 @@ from .program_ir import (
     WrapElemDef,
     WrapFoldDef,
     ZiptStage,
+    fresh_name,
     print_stage,
     stage_output_type,
     typecheck,
@@ -468,14 +469,6 @@ class Derivation:
     combinators: frozenset[str]
 
 
-def _fresh_name(base: str, used: set[str]) -> str:
-    name = base
-    while name in used:
-        name += "_"
-    used.add(name)
-    return name
-
-
 def derive(program: Program, tr: Transform) -> Derivation:
     """Infer the pipeline induced by transforming the program's input type."""
     typed = typecheck(program)
@@ -545,11 +538,11 @@ def derive(program: Program, tr: Transform) -> Derivation:
     pre: list[tuple[str, Stage]] = []
     for i, step in enumerate(input_steps, start=1):
         for st in _realize_stages(step):
-            pre.append((_fresh_name(f"pre_{i}", used), st))
+            pre.append((fresh_name(f"pre_{i}", used), st))
     post: list[tuple[str, Stage]] = []
     for i, step in enumerate(reversed(output_steps), start=1):
         for st in _realize_stages(invert_step(step)):
-            post.append((_fresh_name(f"post_{i}", used), st))
+            post.append((fresh_name(f"post_{i}", used), st))
     combinators |= {print_stage(st) for _, st in pre + post}
     boundary = Program(
         program.input_name,

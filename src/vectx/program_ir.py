@@ -517,15 +517,27 @@ def print_stage(s: Stage) -> str:
     raise TypeError(f"composed stages must be flattened before printing: {s!r}")
 
 
+def fresh_name(base: str, used: set[str]) -> str:
+    """``base``, with ``_`` appended until it is not in ``used``; the name
+    is added to ``used``."""
+    name = base
+    while name in used:
+        name += "_"
+    used.add(name)
+    return name
+
+
 def flatten_composed(program: Program) -> Program:
     """Split composed stages, at every depth, into consecutive named stages
-    for printing."""
+    for printing.  The parts of a stage ``t`` are named ``t_1``, ``t_2``, …,
+    made fresh against every stage name in the program."""
     out = []
+    used = {name for name, _ in program.stages}
 
     def add(name: str, stage: Stage):
         if isinstance(stage, ComposedStage):
             for i, sub in enumerate(stage.stages, start=1):
-                add(f"{name}_{i}", sub)
+                add(fresh_name(f"{name}_{i}", used), sub)
         else:
             out.append((name, stage))
 

@@ -1,4 +1,4 @@
-"""Nested vector values, runtime combinators, and the reference interpreter.
+"""Nested vector values, runtime combinators, and the reference evaluator.
 
 Values mirror types: integer scalars for atoms, tuples for pairs, and
 uniformly shaped sequences for vectors.  Everything here is a pure function
@@ -20,6 +20,13 @@ does.
 ``to_vector``/``from_vector`` combinators replicate and project for the
 ``wrapelem``/``wrapfold`` functions, and ``zipt``/``unzipt`` convert between
 a pair of vectors and a vector of pairs.
+
+A program is compiled once and then run.  ``compile_program`` walks its
+stages and its function table a single time and returns one closure: each
+function becomes a closure shared by all its callers, a ``map`` stage maps
+one over the items and a ``foldl`` stage is a plain loop, so no definition
+is looked up or dispatched per element.  ``eval_program`` compiles and then
+runs; it is the exact reference the derivations are checked against.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 from .errors import (
     LengthMismatchError,
@@ -45,6 +52,7 @@ from .type_algebra import (
     Vec,
     VecType,
     apply_transform,
+    check_nesting,
     dims_of,
     from_dims,
     print_op,
@@ -125,7 +133,10 @@ def random_value(t: VecType, rng: random.Random, lo: int = -99, hi: int = 99) ->
         return ScalarI(rng.randint(lo, hi))
     if isinstance(t, Pair):
         return TupVal(random_value(t.fst, rng, lo, hi), random_value(t.snd, rng, lo, hi))
-    return VecVal(tuple(random_value(t.element, rng, lo, hi) for _ in range(t.size)))
+    if isinstance(t.element, Atom):
+        randint = rng.randint
+        return VecVal(tuple([ScalarI(randint(lo, hi)) for _ in range(t.size)]))
+    return VecVal(tuple([random_value(t.element, rng, lo, hi) for _ in range(t.size)]))
 
 
 # ---------------------------------------------------------------------------
@@ -134,22 +145,28 @@ def random_value(t: VecType, rng: random.Random, lo: int = -99, hi: int = 99) ->
 
 def reshape_to(k: int, v: Value) -> Value:
     """Chunk a vector into groups of k, preserving element order."""
-    return _step_value(Increase(k), v)
+    return _step_fn(Increase(k))(v)
 
 
 def reshape_from(k: int, v: Value) -> Value:
     """Concatenate uniform chunks of length k back into a flat vector."""
-    return _step_value(Decrease(k), v)
+    return _step_fn(Decrease(k))(v)
 
 
-def _step_value(step: Step, v: Value) -> Value:
-    """A step on a value.  As in ``step_apply``, each component must be a
-    vector: on a leaf, ``R`` and ``M`` are identities and the step would be
-    lost."""
-    for part in (v.fst, v.snd) if isinstance(v, TupVal) else (v,):
-        if not isinstance(part, VecVal):
-            raise ShapeError(f"{print_step(step)} needs a vector value")
-    return apply_transform_value(step_transform(step), v)
+def _step_fn(step: Step) -> Callable[[Value], Value]:
+    """A step on values, its transform worked out once.  As in
+    ``step_apply``, each component must be a vector: on a leaf, ``R`` and
+    ``M`` are identities and the step would be lost."""
+    tr = step_transform(step)
+    message = f"{print_step(step)} needs a vector value"
+
+    def run(v):
+        for part in (v.fst, v.snd) if isinstance(v, TupVal) else (v,):
+            if not isinstance(part, VecVal):
+                raise ShapeError(message)
+        return apply_transform_value(tr, v)
+
+    return run
 
 
 def to_vector(k: int, v: Value) -> VecVal:
@@ -259,7 +276,10 @@ def _reshape_plan(tr: Transform, sizes: tuple[int, ...]) -> tuple[tuple[int, ...
 
 def print_value(v: Value) -> str:
     if isinstance(v, ScalarI):
-        return str(v.value)
+        try:
+            return str(v.value)
+        except ValueError as e:  # more digits than str() converts
+            raise ShapeError(f"cannot print the integer: {e}") from None
     if isinstance(v, TupVal):
         return f"({print_value(v.fst)},{print_value(v.snd)})"
     return "[" + ",".join(print_value(item) for item in v.items) + "]"
@@ -274,13 +294,14 @@ def parse_value(text: str) -> Value:
     return v
 
 
-def _parse_value(text: str, pos: int) -> tuple[Value, int]:
+def _parse_value(text: str, pos: int, depth: int = 0) -> tuple[Value, int]:
     while pos < len(text) and text[pos].isspace():
         pos += 1
     if pos >= len(text):
         raise ParseError("expected a value", column=pos + 1)
     ch = text[pos]
     if ch == "[":
+        check_nesting(depth + 1, pos + 1)
         pos += 1
         items = []
         while True:
@@ -288,7 +309,7 @@ def _parse_value(text: str, pos: int) -> tuple[Value, int]:
                 pos += 1
             if pos < len(text) and text[pos] == "]":
                 return VecVal(tuple(items)), pos + 1
-            item, pos = _parse_value(text, pos)
+            item, pos = _parse_value(text, pos, depth + 1)
             items.append(item)
             while pos < len(text) and text[pos].isspace():
                 pos += 1
@@ -299,12 +320,13 @@ def _parse_value(text: str, pos: int) -> tuple[Value, int]:
             else:
                 raise ParseError("expected , or ] in vector literal", column=pos + 1)
     if ch == "(":
-        fst, pos = _parse_value(text, pos + 1)
+        check_nesting(depth + 1, pos + 1)
+        fst, pos = _parse_value(text, pos + 1, depth + 1)
         while pos < len(text) and text[pos].isspace():
             pos += 1
         if pos >= len(text) or text[pos] != ",":
             raise ParseError("expected , in pair literal", column=pos + 1)
-        snd, pos = _parse_value(text, pos + 1)
+        snd, pos = _parse_value(text, pos + 1, depth + 1)
         while pos < len(text) and text[pos].isspace():
             pos += 1
         if pos >= len(text) or text[pos] != ")":
@@ -317,7 +339,10 @@ def _parse_value(text: str, pos: int) -> tuple[Value, int]:
         pos += 1
     if pos == start or text[start:pos] == "-":
         raise ParseError(f"unexpected character {ch!r} in value", column=start + 1)
-    return ScalarI(int(text[start:pos])), pos
+    try:
+        return ScalarI(int(text[start:pos])), pos
+    except ValueError as e:  # more digits than int() converts
+        raise ParseError(f"integer too long: {e}", column=start + 1) from None
 
 
 # ---------------------------------------------------------------------------
@@ -418,87 +443,140 @@ PRIMITIVES: dict[str, tuple[int, Callable[..., Value]]] = {
 
 
 # ---------------------------------------------------------------------------
-# Interpreter
+# Compiler
 
 
-def call_fn(fn, args: list[Value], fns) -> Value:
-    """Execute a named function given the program's function table."""
-    from .program_ir import ElementwiseDef, FoldOfDef, PrimDef, WrapElemDef, WrapFoldDef
+def _raises(cls: type, message: str) -> Callable[..., Value]:
+    """A closure that raises ``cls(message)`` whenever it is called, so that
+    a fault found while compiling surfaces only when evaluation reaches it."""
 
-    if fn.defn is None:
-        raise MissingPrimitiveError(f"function {fn.name} has no executable body")
-    d = fn.defn
-    if isinstance(d, PrimDef):
-        if d.prim not in PRIMITIVES:
-            raise MissingPrimitiveError(f"unknown primitive {d.prim!r}")
-        arity, impl = PRIMITIVES[d.prim]
-        if arity != len(args):
-            raise ShapeError(
-                f"primitive {d.prim} takes {arity} arguments, got {len(args)}"
-            )
-        return impl(*args)
-    if isinstance(d, ElementwiseDef):
-        (xs,) = args
-        inner = fns[d.fn]
-        return VecVal(tuple(call_fn(inner, [x], fns) for x in _vec(xs).items))
-    if isinstance(d, FoldOfDef):
-        acc, xs = args
-        inner = fns[d.fn]
-        for x in _vec(xs).items:
-            acc = call_fn(inner, [acc, x], fns)
-        return acc
-    if isinstance(d, WrapElemDef):
-        (x,) = args
-        inner = fns[d.fn]
-        return from_vector(d.k, call_fn(inner, [to_vector(d.k, x)], fns))
-    if isinstance(d, WrapFoldDef):
-        acc, x = args
-        inner = fns[d.fn]
-        return call_fn(inner, [acc, to_vector(d.k, x)], fns)
-    raise TypeError(f"unknown definition {d!r}")
+    def fail(*args):
+        raise cls(message)
+
+    return fail
 
 
-def run_stage(stage, v: Value, fns) -> Value:
+def compile_program(program) -> Callable[[Value], Value]:
+    """Compile a pipeline into one closure from input value to result.
+
+    The stages and the function table are walked once: each function becomes
+    a closure, compiled once per name and shared by every stage and wrapper
+    that calls it, and each stage a closure over them.  The closure checks
+    that its input conforms to the program's input type.  What the compiler
+    finds wrong (a missing body, an unknown primitive or function, a call
+    with the wrong number of arguments) becomes a closure that raises its
+    error when evaluation reaches it, and not before."""
     from .program_ir import (
         ComposedStage,
+        ElementwiseDef,
+        FoldOfDef,
         FoldStage,
         MapStage,
+        PrimDef,
         ReshapeFromStage,
         ReshapeToStage,
         UnziptStage,
+        WrapElemDef,
+        WrapFoldDef,
         ZiptStage,
     )
 
-    if isinstance(stage, MapStage):
-        fn = fns[stage.fn]
-        return VecVal(tuple(call_fn(fn, [x], fns) for x in _vec(v).items))
-    if isinstance(stage, FoldStage):
-        fn = fns[stage.fn]
-        acc = stage.acc
-        for x in _vec(v).items:
-            acc = call_fn(fn, [acc, x], fns)
+    fns = program.fns
+    compiled: dict[str, tuple[Optional[int], Callable[..., Value]]] = {}
+    compiling: set[str] = set()
+
+    def call(name: str, nargs: int) -> Callable[..., Value]:
+        """The closure for calling function ``name`` with ``nargs`` arguments."""
+        if name not in fns:
+            return _raises(KeyError, name)
+        if name in compiling:  # a cycle: look the closure up when it is called
+            return lambda *args: call(name, nargs)(*args)
+        if name not in compiled:
+            compiling.add(name)
+            compiled[name] = body(fns[name])
+            compiling.discard(name)
+        arity, f = compiled[name]
+        if arity is None or arity == nargs:
+            return f
+        d = fns[name].defn
+        what = f"primitive {d.prim}" if isinstance(d, PrimDef) else f"function {name}"
+        return _raises(ShapeError, f"{what} takes {arity} arguments, got {nargs}")
+
+    def body(fn) -> tuple[Optional[int], Callable[..., Value]]:
+        """A function's arity and closure; ``None`` when every call fails."""
+        d = fn.defn
+        if d is None:
+            return None, _raises(MissingPrimitiveError, f"function {fn.name} has no executable body")
+        if isinstance(d, PrimDef):
+            if d.prim not in PRIMITIVES:
+                return None, _raises(MissingPrimitiveError, f"unknown primitive {d.prim!r}")
+            return PRIMITIVES[d.prim]
+        if isinstance(d, ElementwiseDef):
+            h = call(d.fn, 1)
+            return 1, lambda xs: VecVal(tuple(map(h, _vec(xs).items)))
+        if isinstance(d, FoldOfDef):
+            return 2, _folder(call(d.fn, 2))
+        if isinstance(d, WrapElemDef):
+            h, k = call(d.fn, 1), d.k
+            return 1, lambda x: from_vector(k, h(to_vector(k, x)))
+        if isinstance(d, WrapFoldDef):
+            h, k = call(d.fn, 2), d.k
+            return 2, lambda acc, x: h(acc, to_vector(k, x))
+        return None, _raises(TypeError, f"unknown definition {d!r}")
+
+    def stage(s) -> Callable[[Value], Value]:
+        if isinstance(s, MapStage):
+            f = call(s.fn, 1)
+            return lambda v: VecVal(tuple(map(f, _vec(v).items)))
+        if isinstance(s, FoldStage):
+            fold, acc = _folder(call(s.fn, 2)), s.acc
+            return lambda v: fold(acc, v)
+        if isinstance(s, ZiptStage):
+            return zipt
+        if isinstance(s, UnziptStage):
+            return unzipt
+        if isinstance(s, ReshapeToStage):
+            return _step_fn(Increase(s.k))
+        if isinstance(s, ReshapeFromStage):
+            return _step_fn(Decrease(s.k))
+        if isinstance(s, ComposedStage):
+            return _chain([stage(sub) for sub in s.stages])
+        return _raises(TypeError, f"unknown stage {s!r}")
+
+    run = _chain([stage(s) for _, s in program.stages])
+    input_type = program.input_type
+
+    def run_program(v: Value) -> Value:
+        if not conforms(v, input_type):
+            raise ShapeError(f"input value does not conform to {print_type(input_type)}")
+        return run(v)
+
+    return run_program
+
+
+def _folder(h: Callable[[Value, Value], Value]) -> Callable[[Value, Value], Value]:
+    """``acc, xs -> foldl h acc xs``."""
+
+    def fold(acc, xs):
+        for x in _vec(xs).items:
+            acc = h(acc, x)
         return acc
-    if isinstance(stage, ZiptStage):
-        return zipt(v)
-    if isinstance(stage, UnziptStage):
-        return unzipt(v)
-    if isinstance(stage, ReshapeToStage):
-        return reshape_to(stage.k, v)
-    if isinstance(stage, ReshapeFromStage):
-        return reshape_from(stage.k, v)
-    if isinstance(stage, ComposedStage):
-        for sub in stage.stages:
-            v = run_stage(sub, v, fns)
+
+    return fold
+
+
+def _chain(fs: list[Callable[[Value], Value]]) -> Callable[[Value], Value]:
+    """The composition of ``fs``, first to last."""
+
+    def chain(v):
+        for f in fs:
+            v = f(v)
         return v
-    raise TypeError(f"unknown stage {stage!r}")
+
+    return chain
 
 
 def eval_program(program, v: Value) -> Value:
-    """Run a pipeline on an input value; the semantic oracle for derivations."""
-    if not conforms(v, program.input_type):
-        raise ShapeError(
-            f"input value does not conform to {print_type(program.input_type)}"
-        )
-    for _, stage in program.stages:
-        v = run_stage(stage, v, program.fns)
-    return v
+    """Run a pipeline on an input value; the semantic oracle for derivations.
+    The program is compiled (``compile_program``) and then run."""
+    return compile_program(program)(v)

@@ -462,6 +462,20 @@ def print_transform(tr: Transform) -> str:
     return " ".join(print_op(op) for op in tr.ops)
 
 
+# Brackets, parentheses and ``M (`` groups nest at most this deep in a text
+# form.  The parsers recurse once per level, and so do the printers, the
+# comparisons and the typing of what they build, so a fixed bound keeps every
+# one of them far from Python's recursion limit.
+MAX_NESTING = 100
+
+
+def check_nesting(depth: int, column: int):
+    """Raise ``ParseError`` at a bracket opening level ``depth``, counted
+    from 1, when that is past ``MAX_NESTING``."""
+    if depth > MAX_NESTING:
+        raise ParseError(f"nesting deeper than {MAX_NESTING} levels", column=column)
+
+
 class _Scanner:
     def __init__(self, text: str):
         self.text = text
@@ -490,7 +504,10 @@ class _Scanner:
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected an integer", column=start + 1)
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError as e:  # more digits than int() converts
+            raise ParseError(f"integer too long: {e}", column=start + 1) from None
 
     def identifier(self) -> str:
         self.skip_ws()
@@ -508,11 +525,12 @@ class _Scanner:
         return self.text[start : self.pos]
 
 
-def _parse_type(sc: _Scanner) -> VecType:
+def _parse_type(sc: _Scanner, depth: int = 0) -> VecType:
     ch = sc.peek()
     if ch == "[":
+        check_nesting(depth + 1, sc.pos + 1)
         sc.expect("[")
-        elem = _parse_type(sc)
+        elem = _parse_type(sc, depth + 1)
         sc.expect("]")
         if sc.peek() != "<":
             raise ParseError("expected at least one <size>", column=sc.pos + 1)
@@ -526,10 +544,11 @@ def _parse_type(sc: _Scanner) -> VecType:
             t = Vec(n, t)
         return t
     if ch == "(":
+        check_nesting(depth + 1, sc.pos + 1)
         sc.expect("(")
-        fst = _parse_type(sc)
+        fst = _parse_type(sc, depth + 1)
         sc.expect(",")
-        snd = _parse_type(sc)
+        snd = _parse_type(sc, depth + 1)
         sc.expect(")")
         return Pair(fst, snd)
     return Atom(sc.identifier())
@@ -543,7 +562,7 @@ def parse_type(text: str) -> VecType:
     return t
 
 
-def _parse_ops(sc: _Scanner) -> list[TypeOp]:
+def _parse_ops(sc: _Scanner, depth: int = 0) -> list[TypeOp]:
     ops: list[TypeOp] = []
     while True:
         ch = sc.peek()
@@ -573,8 +592,9 @@ def _parse_ops(sc: _Scanner) -> list[TypeOp]:
         elif name == "M":
             if inverse:
                 raise ParseError("write M ( F^-1 ) rather than M^-1", column=sc.pos)
+            check_nesting(depth + 1, sc.pos + 1)
             sc.expect("(")
-            inner = _parse_ops(sc)
+            inner = _parse_ops(sc, depth + 1)
             sc.expect(")")
             ops.append(MapElem(Transform(tuple(inner))))
         else:

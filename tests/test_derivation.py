@@ -373,6 +373,25 @@ def test_nested_conjugation_prints_and_round_trips():
     assert rep.failures == 0
 
 
+def test_printed_stage_names_are_fresh_against_every_stage():
+    p = parse_program(
+        """\
+input s :: [a]<8>
+fn f :: [a]<2> -> [a]<2>
+fn f = prim reverse
+stage t = reshapeTo 2
+stage t_1 = map f
+result r = t |> t_1 s
+"""
+    )
+    d = derive(p, parse_transform("R 2 M ( S )"))
+    printed = parse_program(print_program(d.derived))
+    rng = random.Random(4)
+    for _ in range(5):
+        v = random_value(d.derived.input_type, rng)
+        assert eval_program(printed, v) == eval_program(d.derived, v)
+
+
 def test_derived_program_round_trips_through_text():
     p = parse_program(CHUNKED_MAP_OPAQUE)
     d = derive(p, parse_transform("M ( S^-1 ) R^-1 3"))

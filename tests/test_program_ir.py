@@ -1,6 +1,9 @@
+import random
+from functools import reduce
+
 import pytest
 
-from vectx.errors import ParseError, StageTypeError
+from vectx.errors import MissingPrimitiveError, ParseError, ShapeError, StageTypeError
 from vectx.program_ir import (
     ElementwiseDef,
     FoldStage,
@@ -11,7 +14,7 @@ from vectx.program_ir import (
     print_program,
     typecheck,
 )
-from vectx.runtime import eval_program, iv, vv
+from vectx.runtime import VecVal, eval_program, iv, vv
 from vectx.type_algebra import parse_type
 
 MAP_PROGRAM = """\
@@ -215,3 +218,162 @@ def test_eval_two_stage():
     p = parse_program(TWO_STAGE)
     v = vv(*[iv(n) for n in range(1, 9)])
     assert eval_program(p, v) == iv(3 * sum(range(1, 9)))
+
+
+# -- evaluator behaviour --------------------------------------------------------
+
+MAP_F_123 = """\
+input s :: [a]<3>
+fn f :: a -> a
+{body}
+stage g = map f
+result r = g s
+"""
+
+
+@pytest.mark.parametrize(
+    "body, error, message",
+    [
+        ("", MissingPrimitiveError, "function f has no executable body"),
+        ("fn f = prim nosuch", MissingPrimitiveError, "unknown primitive 'nosuch'"),
+        ("fn f = prim add", ShapeError, "primitive add takes 2 arguments, got 1"),
+        ("fn f = prim sum", ShapeError, "primitive expected a vector argument"),
+    ],
+)
+def test_eval_errors_keep_their_class_and_message(body, error, message):
+    p = parse_program(MAP_F_123.format(body=body))
+    with pytest.raises(error) as info:
+        eval_program(p, vv(iv(1), iv(2), iv(3)))
+    assert str(info.value) == message
+
+
+def test_eval_wrapelem_and_wrapfold():
+    wrapelem = """\
+input s :: [a]<3>
+fn h0 :: a -> a
+fn h0 = prim mul3
+fn h :: [a]<3> -> [a]<3>
+fn h = elementwise h0
+fn f :: a -> a
+fn f = wrapelem h 3
+stage g = map f
+result r = g s
+"""
+    assert eval_program(parse_program(wrapelem), vv(iv(1), iv(2), iv(3))) == vv(iv(3), iv(6), iv(9))
+    wrapfold = """\
+input s :: [a]<3>
+fn h0 :: b -> a -> b
+fn h0 = prim dec_shift
+fn h :: b -> [a]<2> -> b
+fn h = foldof h0
+fn f :: b -> a -> b
+fn f = wrapfold h 2
+stage g = foldl f 0
+result r = g s
+"""
+    assert eval_program(parse_program(wrapfold), vv(iv(1), iv(2), iv(3))) == iv(112233)
+
+
+def test_eval_stages_and_wrappers_sharing_one_function():
+    text = """\
+input s :: [a]<4>
+fn f :: a -> a
+fn f = prim add1
+fn e :: [a]<2> -> [a]<2>
+fn e = elementwise f
+stage g = map f
+stage h = map f
+stage t = reshapeTo 2
+stage k = map e
+result r = g |> h |> t |> k s
+"""
+    p = parse_program(text)
+    expected = vv(vv(iv(4), iv(5)), vv(iv(6), iv(7)))
+    assert eval_program(p, vv(iv(1), iv(2), iv(3), iv(4))) == expected
+
+
+# Expectations for the differential test, worked out from the flat input
+# integers alone: reshape stages keep the leaf order, a map acts leaf by leaf,
+# and a final fold is a left fold of its scalar step.
+SCALAR_PRIMS = {"add1": lambda x: x + 1, "mul3": lambda x: 3 * x, "negate": lambda x: -x}
+FOLD_PRIMS = {"add": lambda a, x: a + x, "max": max, "dec_shift": lambda a, x: 10 * a + x}
+
+
+def _dims_text(dims):
+    return "[a]" + "".join(f"<{d}>" for d in dims) if dims else "a"
+
+
+def _nested(flat, dims):
+    """The value of innermost-first ``dims`` holding ``flat`` in order."""
+    level = [iv(x) for x in flat]
+    for d in dims:
+        level = [VecVal(tuple(level[i : i + d])) for i in range(0, len(level), d)]
+    return level[0]
+
+
+def _divisors(n):
+    return [k for k in range(2, n) if n % k == 0]
+
+
+def _random_pipeline(rng):
+    """A program text over ``[a]<dims>``, its input dims, and the function
+    of the flat input integers that gives its expected result."""
+    n = rng.choice([12, 16, 24, 36, 48])
+    dims = [n]
+    while rng.random() < 0.5 and _divisors(dims[-1]):
+        k = rng.choice(_divisors(dims[-1]))
+        dims[-1:] = [k, dims[-1] // k]
+    in_dims = tuple(dims)
+    lines = [f"input s :: {_dims_text(in_dims)}"]
+    names, ops = [], []
+    for i in range(rng.randint(1, 5)):
+        kinds = ["map"]
+        if _divisors(dims[-1]):
+            kinds.append("reshapeTo")
+        if len(dims) > 1:
+            kinds.append("reshapeFrom")
+        kind = rng.choice(kinds)
+        if kind == "map":
+            prim = rng.choice(sorted(SCALAR_PRIMS))
+            lines += [f"fn m{i}_0 :: a -> a", f"fn m{i}_0 = prim {prim}"]
+            for j in range(1, len(dims)):
+                t = _dims_text(dims[:j])
+                lines += [f"fn m{i}_{j} :: {t} -> {t}", f"fn m{i}_{j} = elementwise m{i}_{j - 1}"]
+            lines.append(f"stage s{i} = map m{i}_{len(dims) - 1}")
+            ops.append(SCALAR_PRIMS[prim])
+        elif kind == "reshapeTo":
+            k = rng.choice(_divisors(dims[-1]))
+            lines.append(f"stage s{i} = reshapeTo {k}")
+            dims[-1:] = [k, dims[-1] // k]
+        else:
+            lines.append(f"stage s{i} = reshapeFrom {dims[-2]}")
+            dims[-2:] = [dims[-2] * dims[-1]]
+        names.append(f"s{i}")
+    out_dims = tuple(dims)
+    fold = None
+    if rng.random() < 0.5:
+        prim = rng.choice(sorted(FOLD_PRIMS))
+        lines += ["fn g_0 :: a -> a -> a", f"fn g_0 = prim {prim}"]
+        for j in range(1, len(dims)):
+            lines += [f"fn g_{j} :: a -> {_dims_text(dims[:j])} -> a", f"fn g_{j} = foldof g_{j - 1}"]
+        lines.append(f"stage f = foldl g_{len(dims) - 1} 0")
+        names.append("f")
+        fold = FOLD_PRIMS[prim]
+    lines.append(f"result r = {' |> '.join(names)} s")
+
+    def expected(flat):
+        for op in ops:
+            flat = [op(x) for x in flat]
+        return iv(reduce(fold, flat, 0)) if fold else _nested(flat, out_dims)
+
+    return "\n".join(lines) + "\n", in_dims, expected
+
+
+def test_eval_matches_leaf_order_expectations_on_random_pipelines():
+    rng = random.Random(20151505)
+    for _ in range(200):
+        text, in_dims, expected = _random_pipeline(rng)
+        p = parse_program(text)
+        typecheck(p)
+        flat = [rng.randint(-99, 99) for _ in range(reduce(lambda a, d: a * d, in_dims, 1))]
+        assert eval_program(p, _nested(flat, in_dims)) == expected(flat), text

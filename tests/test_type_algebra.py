@@ -273,6 +273,27 @@ def test_parse_pair_type():
     assert parse_type("([a]<2>,b)") == Pair(Vec(2, A), Atom("b"))
 
 
+@pytest.mark.parametrize(
+    "parse, nested",
+    [
+        (parse_type, lambda d: "[" * d + "a" + "]<1>" * d),
+        (parse_type, lambda d: "(a," * d + "a" + ")" * d),
+        (parse_transform, lambda d: "M ( " * d + "S" + " )" * d),
+    ],
+    ids=["vector-type", "pair-type", "transform"],
+)
+def test_parse_rejects_deep_nesting(parse, nested):
+    with pytest.raises(ParseError, match="nesting"):
+        parse(nested(3000))
+    parsed = parse(nested(50))
+    assert parse(print_type(parsed) if parse is parse_type else print_transform(parsed)) == parsed
+
+
+def test_parse_rejects_sizes_past_the_conversion_limit():
+    with pytest.raises(ParseError, match="at column 5"):
+        parse_type("[a]<" + "1" * 5000 + ">")
+
+
 types = st.recursive(
     st.sampled_from(["a", "b", "x_1"]).map(Atom),
     lambda kids: st.one_of(
