@@ -1,9 +1,12 @@
 """Nested vector values, runtime combinators, and the reference evaluator.
 
-Values mirror types: integer scalars for atoms, tuples for pairs, and
-uniformly shaped sequences for vectors.  Everything here is a pure function
-over immutable values, and all comparisons are exact — scalars are plain
-integers, so semantic-preservation checks are bit-exact.
+Values mirror types: a scalar is a plain Python ``int`` (its type exactly:
+a ``bool`` would print as ``True``), a pair a ``TupVal`` and a vector a
+``VecVal`` of uniformly shaped ``items``.  A vector stays a dataclass with an
+``items`` tuple, not a bare tuple or a flat leaf buffer, because callers
+rebuild one with ``dataclasses.replace(v, items=...)``.  Everything here is a
+pure function over immutable values, and comparisons of Python integers are
+exact, so semantic-preservation checks are bit-exact.
 
 A value reshape is "flatten the leaves, rebuild at the target type".  ``S``,
 ``R`` and ``M`` re-partition the ordered leaves without reordering them, so
@@ -43,6 +46,7 @@ from .errors import (
     ShapeError,
 )
 from .type_algebra import (
+    MAX_LEAVES,
     Atom,
     Decrease,
     Increase,
@@ -67,11 +71,6 @@ from .type_algebra import (
 
 
 @dataclass(frozen=True)
-class ScalarI:
-    value: int
-
-
-@dataclass(frozen=True)
 class VecVal:
     items: tuple["Value", ...]
 
@@ -85,11 +84,7 @@ class TupVal:
     snd: "Value"
 
 
-Value = Union[ScalarI, VecVal, TupVal]
-
-
-def iv(n: int) -> ScalarI:
-    return ScalarI(n)
+Value = Union[int, VecVal, TupVal]
 
 
 def vv(*items: Value) -> VecVal:
@@ -98,7 +93,7 @@ def vv(*items: Value) -> VecVal:
 
 def shape_of(v: Value) -> VecType:
     """The type a value inhabits; scalar atoms are reported as ``int``."""
-    if isinstance(v, ScalarI):
+    if type(v) is int:
         return Atom("int")
     if isinstance(v, TupVal):
         return Pair(shape_of(v.fst), shape_of(v.snd))
@@ -114,7 +109,7 @@ def shape_of(v: Value) -> VecType:
 def conforms(v: Value, t: VecType) -> bool:
     """Structural match of a value against a type; any atom admits a scalar."""
     if isinstance(t, Atom):
-        return isinstance(v, ScalarI)
+        return type(v) is int
     if isinstance(t, Pair):
         return (
             isinstance(v, TupVal)
@@ -129,14 +124,29 @@ def conforms(v: Value, t: VecType) -> bool:
 
 
 def random_value(t: VecType, rng: random.Random, lo: int = -99, hi: int = 99) -> Value:
-    if isinstance(t, Atom):
-        return ScalarI(rng.randint(lo, hi))
+    """A value of type t with leaves drawn from [lo, hi].  Past ``MAX_LEAVES``
+    leaves it raises ``ShapeError``, before any draw."""
+    if _leaf_count(t) > MAX_LEAVES:
+        raise ShapeError(f"a random value may have at most MAX_LEAVES = {MAX_LEAVES} leaves")
+    return _random_value(t, rng, lo, hi)
+
+
+def _leaf_count(t: VecType) -> int:
+    """The leaves of a value of type t, counting both parts of a pair."""
     if isinstance(t, Pair):
-        return TupVal(random_value(t.fst, rng, lo, hi), random_value(t.snd, rng, lo, hi))
+        return _leaf_count(t.fst) + _leaf_count(t.snd)
+    return t.size * _leaf_count(t.element) if isinstance(t, Vec) else 1
+
+
+def _random_value(t: VecType, rng: random.Random, lo: int, hi: int) -> Value:
+    if isinstance(t, Atom):
+        return rng.randint(lo, hi)
+    if isinstance(t, Pair):
+        return TupVal(_random_value(t.fst, rng, lo, hi), _random_value(t.snd, rng, lo, hi))
     if isinstance(t.element, Atom):
         randint = rng.randint
-        return VecVal(tuple([ScalarI(randint(lo, hi)) for _ in range(t.size)]))
-    return VecVal(tuple([random_value(t.element, rng, lo, hi) for _ in range(t.size)]))
+        return VecVal(tuple([randint(lo, hi) for _ in range(t.size)]))
+    return VecVal(tuple([_random_value(t.element, rng, lo, hi) for _ in range(t.size)]))
 
 
 # ---------------------------------------------------------------------------
@@ -205,19 +215,6 @@ def unzipt(v: Value) -> TupVal:
     return TupVal(VecVal(tuple(firsts)), VecVal(tuple(seconds)))
 
 
-def flatten(v: Value) -> VecVal:
-    """Fully flatten nested vectors into the 1-D sequence of their leaves."""
-    if not isinstance(v, VecVal):
-        return VecVal((v,))
-    out = []
-    for item in v.items:
-        if isinstance(item, VecVal):
-            out.extend(flatten(item).items)
-        else:
-            out.append(item)
-    return VecVal(tuple(out))
-
-
 def apply_transform_value(tr: Transform, v: Value) -> Value:
     """Reshape a value: flatten the leaves, rebuild at the target type.
 
@@ -275,9 +272,9 @@ def _reshape_plan(tr: Transform, sizes: tuple[int, ...]) -> tuple[tuple[int, ...
 
 
 def print_value(v: Value) -> str:
-    if isinstance(v, ScalarI):
+    if type(v) is int:
         try:
-            return str(v.value)
+            return str(v)
         except ValueError as e:  # more digits than str() converts
             raise ShapeError(f"cannot print the integer: {e}") from None
     if isinstance(v, TupVal):
@@ -340,7 +337,7 @@ def _parse_value(text: str, pos: int, depth: int = 0) -> tuple[Value, int]:
     if pos == start or text[start:pos] == "-":
         raise ParseError(f"unexpected character {ch!r} in value", column=start + 1)
     try:
-        return ScalarI(int(text[start:pos])), pos
+        return int(text[start:pos]), pos
     except ValueError as e:  # more digits than int() converts
         raise ParseError(f"integer too long: {e}", column=start + 1) from None
 
@@ -350,9 +347,9 @@ def _parse_value(text: str, pos: int, depth: int = 0) -> tuple[Value, int]:
 
 
 def _scalar(v: Value) -> int:
-    if not isinstance(v, ScalarI):
+    if type(v) is not int:
         raise ShapeError("primitive expected a scalar argument")
-    return v.value
+    return v
 
 
 def _vec(v: Value) -> VecVal:
@@ -368,36 +365,36 @@ def _tup(v: Value) -> TupVal:
 
 
 def _p_add1(x):
-    return ScalarI(_scalar(x) + 1)
+    return _scalar(x) + 1
 
 
 def _p_mul3(x):
-    return ScalarI(_scalar(x) * 3)
+    return _scalar(x) * 3
 
 
 def _p_negate(x):
-    return ScalarI(-_scalar(x))
+    return -_scalar(x)
 
 
 def _p_add(acc, x):
-    return ScalarI(_scalar(acc) + _scalar(x))
+    return _scalar(acc) + _scalar(x)
 
 
 def _p_mul(acc, x):
-    return ScalarI(_scalar(acc) * _scalar(x))
+    return _scalar(acc) * _scalar(x)
 
 
 def _p_max(acc, x):
-    return ScalarI(max(_scalar(acc), _scalar(x)))
+    return max(_scalar(acc), _scalar(x))
 
 
 def _p_dec_shift(acc, x):
     # Non-commutative on purpose: order bugs change the result.
-    return ScalarI(10 * _scalar(acc) + _scalar(x))
+    return 10 * _scalar(acc) + _scalar(x)
 
 
 def _p_sum(xs):
-    return ScalarI(sum(_scalar(x) for x in _vec(xs).items))
+    return sum(_scalar(x) for x in _vec(xs).items)
 
 
 def _p_reverse(xs):
@@ -414,15 +411,7 @@ def _p_add_head(acc, chunk):
     chunk = _vec(chunk)
     if not chunk.items:
         raise ShapeError("add_head needs a non-empty chunk")
-    return ScalarI(_scalar(acc) + _scalar(chunk.items[0]))
-
-
-def _p_zipt(t):
-    return zipt(t)
-
-
-def _p_unzipt(xs):
-    return unzipt(xs)
+    return _scalar(acc) + _scalar(chunk.items[0])
 
 
 PRIMITIVES: dict[str, tuple[int, Callable[..., Value]]] = {
@@ -437,8 +426,8 @@ PRIMITIVES: dict[str, tuple[int, Callable[..., Value]]] = {
     "reverse": (1, _p_reverse),
     "swap": (1, _p_swap),
     "add_head": (2, _p_add_head),
-    "zipt": (1, _p_zipt),
-    "unzipt": (1, _p_unzipt),
+    "zipt": (1, zipt),
+    "unzipt": (1, unzipt),
 }
 
 

@@ -468,6 +468,9 @@ def print_transform(tr: Transform) -> str:
 # one of them far from Python's recursion limit.
 MAX_NESTING = 100
 
+# A random value has at most this many leaves; ``[a]<65536><65536>`` has 2**32.
+MAX_LEAVES = 2**24
+
 
 def check_nesting(depth: int, column: int):
     """Raise ``ParseError`` at a bracket opening level ``depth``, counted
@@ -497,7 +500,8 @@ class _Scanner:
     def at_end(self) -> bool:
         return self.peek() == ""
 
-    def integer(self) -> int:
+    def positive(self, what: str) -> int:
+        """An integer of at least 1; ``what`` names it in the error."""
         self.skip_ws()
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
@@ -505,9 +509,12 @@ class _Scanner:
         if self.pos == start:
             raise ParseError("expected an integer", column=start + 1)
         try:
-            return int(self.text[start : self.pos])
+            n = int(self.text[start : self.pos])
         except ValueError as e:  # more digits than int() converts
             raise ParseError(f"integer too long: {e}", column=start + 1) from None
+        if n < 1:
+            raise ParseError(f"{what} must be >= 1, got {n}", column=self.pos)
+        return n
 
     def identifier(self) -> str:
         self.skip_ws()
@@ -537,9 +544,7 @@ def _parse_type(sc: _Scanner, depth: int = 0) -> VecType:
         t = elem
         while sc.peek() == "<":
             sc.expect("<")
-            n = sc.integer()
-            if n < 1:
-                raise ParseError(f"size must be >= 1, got {n}", column=sc.pos)
+            n = sc.positive("size")
             sc.expect(">")
             t = Vec(n, t)
         return t
@@ -584,10 +589,10 @@ def _parse_ops(sc: _Scanner, depth: int = 0) -> list[TypeOp]:
                 raise ParseError("I has no inverse marker", column=sc.pos)
             ops.append(Ident())
         elif name == "R":
-            m = sc.integer()
+            m = sc.positive("regroup factor")
             ops.append(RegroupInv(m) if inverse else Regroup(m))
         elif name == "V":
-            k = sc.integer()
+            k = sc.positive("wrap size")
             ops.append(Unwrap(k) if inverse else Wrap(k))
         elif name == "M":
             if inverse:

@@ -2,6 +2,7 @@
 
 import random
 
+from vectx.runtime import VecVal
 from vectx.type_algebra import (
     Atom,
     Ident,
@@ -120,3 +121,17 @@ def uses_wrap(tr: Transform) -> bool:
         if isinstance(op, MapElem) and uses_wrap(op.inner):
             return True
     return False
+
+
+def flatten(v) -> VecVal:
+    """Fully flatten nested vectors into the 1-D sequence of their leaves:
+    the order oracle that value reshapes are checked against."""
+    if not isinstance(v, VecVal):
+        return VecVal((v,))
+    out = []
+    for item in v.items:
+        if isinstance(item, VecVal):
+            out.extend(flatten(item).items)
+        else:
+            out.append(item)
+    return VecVal(tuple(out))

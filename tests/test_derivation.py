@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from gen import random_type
+from gen import flatten, random_type
 from vectx.derivation import (
     ConditionallyPreserved,
     Decrease,
@@ -21,7 +21,7 @@ from vectx.derivation import (
     steps_to_transform,
     verify,
 )
-from vectx.errors import DerivationError
+from vectx.errors import DerivationError, ShapeError
 from vectx.program_ir import (
     ComposedStage,
     ElementwiseDef,
@@ -38,8 +38,6 @@ from vectx.program_ir import (
 from vectx.runtime import (
     TupVal,
     eval_program,
-    flatten,
-    iv,
     random_value,
     reshape_to,
     vv,
@@ -217,7 +215,7 @@ def test_fold_increase_folds_the_fold():
     p = parse_program(FLAT_FOLD)
     table = _FnTable(p.fns)
     res = derive_fold_step(Increase(2), p.stages[0][1], p.input_type, table)
-    assert res.stage == FoldStage("f__f2", iv(0))
+    assert res.stage == FoldStage("f__f2", 0)
     assert res.out_step is None
     assert res.verdict == Preserved()
 
@@ -226,7 +224,7 @@ def test_fold_decrease_with_annotation():
     p = parse_program(CHUNKED_FOLD)
     table = _FnTable(p.fns)
     res = derive_fold_step(Decrease(3), p.stages[0][1], p.input_type, table)
-    assert res.stage == FoldStage("h", iv(0))
+    assert res.stage == FoldStage("h", 0)
     assert res.verdict == ConditionallyPreserved("f = foldl h", True)
 
 
@@ -234,7 +232,7 @@ def test_fold_decrease_without_annotation():
     p = parse_program(CHUNKED_FOLD_OPAQUE)
     table = _FnTable(p.fns)
     res = derive_fold_step(Decrease(3), p.stages[0][1], p.input_type, table)
-    assert res.stage == FoldStage("f__wf3", iv(0))
+    assert res.stage == FoldStage("f__wf3", 0)
     assert res.verdict == ConditionallyPreserved("f = foldl h", False)
 
 
@@ -242,7 +240,7 @@ def test_fold_repartition_is_decrease_then_increase():
     p = parse_program(CHUNKED_FOLD)
     table = _FnTable(p.fns)
     res = derive_fold_step(Repartition(6, 3), p.stages[0][1], p.input_type, table)
-    assert res.stage == FoldStage("h__f6", iv(0))
+    assert res.stage == FoldStage("h__f6", 0)
     assert res.verdict == ConditionallyPreserved("f = foldl h", True)
 
 
@@ -322,6 +320,13 @@ def test_derive_identity_is_unchanged():
     assert d.output_transform.ops == ()
 
 
+def test_verify_refuses_inputs_past_max_leaves():
+    p = parse_program("input s :: [a]<65536><65536>\nresult r = s\n")
+    d = derive(p, parse_transform("I"))
+    with pytest.raises(ShapeError, match="MAX_LEAVES"):
+        verify(d, 1)
+
+
 def test_derive_two_stage_pipeline():
     p = parse_program(
         """\
@@ -338,7 +343,7 @@ result r = m |> t s
     d = derive(p, parse_transform("R 2 M ( S )"))
     assert d.derived.stages == (
         ("m", MapStage("f__m2")),
-        ("t", FoldStage("g__f2", iv(0))),
+        ("t", FoldStage("g__f2", 0)),
     )
     assert d.output_transform.ops == ()
     rep = verify(d, trials=100, seed=13)

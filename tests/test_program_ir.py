@@ -14,7 +14,7 @@ from vectx.program_ir import (
     print_program,
     typecheck,
 )
-from vectx.runtime import VecVal, eval_program, iv, vv
+from vectx.runtime import VecVal, eval_program, vv
 from vectx.type_algebra import parse_type
 
 MAP_PROGRAM = """\
@@ -161,7 +161,7 @@ def test_missing_input_is_parse_error():
 def test_empty_pipeline_is_identity():
     p = parse_program("input s :: [a]<3>\nresult r = s\n")
     assert typecheck(p).result_type == parse_type("[a]<3>")
-    assert eval_program(p, vv(iv(1), iv(2), iv(3))) == vv(iv(1), iv(2), iv(3))
+    assert eval_program(p, vv(1, 2, 3)) == vv(1, 2, 3)
 
 
 def test_print_parse_round_trip():
@@ -183,7 +183,7 @@ def test_comments_and_blank_lines_ignored():
 
 def test_eval_map():
     p = parse_program(MAP_PROGRAM.replace("<16>", "<3>"))
-    assert eval_program(p, vv(iv(1), iv(2), iv(3))) == vv(iv(2), iv(3), iv(4))
+    assert eval_program(p, vv(1, 2, 3)) == vv(2, 3, 4)
 
 
 def test_eval_foldl_is_left_associative():
@@ -195,7 +195,7 @@ stage g = foldl f 0
 result r = g s
 """
     p = parse_program(text)
-    assert eval_program(p, vv(iv(1), iv(2), iv(3), iv(4))) == iv(1234)
+    assert eval_program(p, vv(1, 2, 3, 4)) == 1234
 
 
 def test_eval_nested_fold_matches_flat_fold():
@@ -209,15 +209,15 @@ stage g = foldl h 0
 result r = g s
 """
     )
-    data = [iv(n) for n in range(1, 13)]
+    data = list(range(1, 13))
     chunked = vv(*[vv(*data[i : i + 3]) for i in range(0, 12, 3)])
-    assert eval_program(nested, chunked) == eval_program(flat, vv(*data)) == iv(78)
+    assert eval_program(nested, chunked) == eval_program(flat, vv(*data)) == 78
 
 
 def test_eval_two_stage():
     p = parse_program(TWO_STAGE)
-    v = vv(*[iv(n) for n in range(1, 9)])
-    assert eval_program(p, v) == iv(3 * sum(range(1, 9)))
+    v = vv(*range(1, 9))
+    assert eval_program(p, v) == 3 * sum(range(1, 9))
 
 
 # -- evaluator behaviour --------------------------------------------------------
@@ -243,8 +243,17 @@ result r = g s
 def test_eval_errors_keep_their_class_and_message(body, error, message):
     p = parse_program(MAP_F_123.format(body=body))
     with pytest.raises(error) as info:
-        eval_program(p, vv(iv(1), iv(2), iv(3)))
+        eval_program(p, vv(1, 2, 3))
     assert str(info.value) == message
+
+
+def test_unchecked_map_of_a_scalar_primitive_over_vectors_is_shape_error():
+    p = parse_program(
+        "input s :: [[a]<1>]<2>\nfn f :: a -> a\nfn f = prim add1\nstage g = map f\nresult r = g s\n"
+    )
+    with pytest.raises(ShapeError) as info:
+        eval_program(p, vv(vv(1), vv(2)))
+    assert str(info.value) == "primitive expected a scalar argument"
 
 
 def test_eval_wrapelem_and_wrapfold():
@@ -259,7 +268,7 @@ fn f = wrapelem h 3
 stage g = map f
 result r = g s
 """
-    assert eval_program(parse_program(wrapelem), vv(iv(1), iv(2), iv(3))) == vv(iv(3), iv(6), iv(9))
+    assert eval_program(parse_program(wrapelem), vv(1, 2, 3)) == vv(3, 6, 9)
     wrapfold = """\
 input s :: [a]<3>
 fn h0 :: b -> a -> b
@@ -271,7 +280,7 @@ fn f = wrapfold h 2
 stage g = foldl f 0
 result r = g s
 """
-    assert eval_program(parse_program(wrapfold), vv(iv(1), iv(2), iv(3))) == iv(112233)
+    assert eval_program(parse_program(wrapfold), vv(1, 2, 3)) == 112233
 
 
 def test_eval_stages_and_wrappers_sharing_one_function():
@@ -288,8 +297,8 @@ stage k = map e
 result r = g |> h |> t |> k s
 """
     p = parse_program(text)
-    expected = vv(vv(iv(4), iv(5)), vv(iv(6), iv(7)))
-    assert eval_program(p, vv(iv(1), iv(2), iv(3), iv(4))) == expected
+    expected = vv(vv(4, 5), vv(6, 7))
+    assert eval_program(p, vv(1, 2, 3, 4)) == expected
 
 
 # Expectations for the differential test, worked out from the flat input
@@ -305,7 +314,7 @@ def _dims_text(dims):
 
 def _nested(flat, dims):
     """The value of innermost-first ``dims`` holding ``flat`` in order."""
-    level = [iv(x) for x in flat]
+    level = list(flat)
     for d in dims:
         level = [VecVal(tuple(level[i : i + d])) for i in range(0, len(level), d)]
     return level[0]
@@ -364,7 +373,7 @@ def _random_pipeline(rng):
     def expected(flat):
         for op in ops:
             flat = [op(x) for x in flat]
-        return iv(reduce(fold, flat, 0)) if fold else _nested(flat, out_dims)
+        return reduce(fold, flat, 0) if fold else _nested(flat, out_dims)
 
     return "\n".join(lines) + "\n", in_dims, expected
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from gen import random_applicable_transform, random_type
+from gen import flatten, random_applicable_transform, random_type
 from vectx.errors import (
     DivisibilityError,
     LengthMismatchError,
@@ -14,16 +14,13 @@ from vectx.errors import (
 from vectx.program_ir import parse_program
 from vectx.runtime import (
     PRIMITIVES,
-    ScalarI,
     TupVal,
     VecVal,
     apply_transform_value,
     compile_program,
     conforms,
     eval_program,
-    flatten,
     from_vector,
-    iv,
     parse_value,
     print_value,
     random_value,
@@ -36,6 +33,7 @@ from vectx.runtime import (
     zipt,
 )
 from vectx.type_algebra import (
+    MAX_LEAVES,
     Atom,
     Pair,
     Vec,
@@ -48,7 +46,7 @@ from vectx.type_algebra import (
 
 
 def ints(*ns):
-    return vv(*[iv(n) for n in ns])
+    return vv(*ns)
 
 
 # -- shape_of / conforms -----------------------------------------------------
@@ -67,7 +65,21 @@ def test_shape_of_ragged_fails():
 def test_conforms_ignores_atom_names():
     assert conforms(ints(1, 2, 3), Vec(3, Atom("a")))
     assert not conforms(ints(1, 2, 3), Vec(4, Atom("a")))
-    assert conforms(TupVal(iv(1), iv(2)), Pair(Atom("a"), Atom("b")))
+    assert conforms(TupVal(1, 2), Pair(Atom("a"), Atom("b")))
+
+
+@pytest.mark.parametrize("leaf", [1.5, True], ids=["float", "bool"])
+def test_a_non_integer_leaf_does_not_conform(leaf):
+    assert not conforms(vv(leaf, 2), parse_type("[a]<2>"))
+    p = parse_program("input s :: [a]<2>\nresult r = s\n")
+    with pytest.raises(ShapeError, match="input value does not conform"):
+        eval_program(p, vv(leaf, 2))
+
+
+def test_scalars_are_plain_ints():
+    p = parse_program("input s :: [a]<2>\nfn f :: a -> a\nfn f = prim add1\nstage g = map f\nresult r = g s\n")
+    for v in (parse_value("[1,-2]"), eval_program(p, parse_value("[1,-2]"))):
+        assert [type(x) for x in v.items] == [int, int]
 
 
 # -- reshape -----------------------------------------------------------------
@@ -91,15 +103,25 @@ def test_reshape_to_divisibility():
 def test_reshape_needs_a_vector():
     for reshape in (reshape_to, reshape_from):
         with pytest.raises(ShapeError, match="needs a vector"):
-            reshape(1, iv(3))
+            reshape(1, 3)
         with pytest.raises(ShapeError, match="needs a vector"):
-            reshape(1, TupVal(ints(1), iv(2)))
+            reshape(1, TupVal(ints(1), 2))
 
 
 def test_random_value_draws_are_pinned():
     # seeded verify counterexamples depend on these exact draws
     v = random_value(parse_type("([a]<3><2>,[b]<2>)"), random.Random(7))
     assert print_value(v) == "([[-17,-61,2],[67,-87,-81]],[38,-75])"
+
+
+def test_random_value_refuses_more_than_max_leaves_before_drawing():
+    rng = random.Random(3)
+    state = rng.getstate()
+    half = MAX_LEAVES // 2  # both parts of a pair count
+    for text in ("[a]<65536><65536>", f"([a]<{half}>,[b]<{half + 1}>)"):
+        with pytest.raises(ShapeError, match=f"MAX_LEAVES = {MAX_LEAVES}"):
+            random_value(parse_type(text), rng)
+    assert rng.getstate() == state
 
 
 def test_reshape_round_trip():
@@ -119,15 +141,15 @@ def test_reshape_from_rejects_ragged():
 
 
 def test_to_vector_replicates():
-    assert to_vector(3, iv(7)) == ints(7, 7, 7)
+    assert to_vector(3, 7) == ints(7, 7, 7)
 
 
 def test_from_vector_takes_head():
-    assert from_vector(3, ints(7, 8, 9)) == iv(7)
+    assert from_vector(3, ints(7, 8, 9)) == 7
 
 
 def test_vector_round_trip():
-    assert from_vector(4, to_vector(4, iv(5))) == iv(5)
+    assert from_vector(4, to_vector(4, 5)) == 5
 
 
 def test_from_vector_empty_fails():
@@ -140,7 +162,7 @@ def test_from_vector_empty_fails():
 
 def test_zipt_pairs_elementwise():
     assert zipt(TupVal(ints(1, 2), ints(3, 4))) == vv(
-        TupVal(iv(1), iv(3)), TupVal(iv(2), iv(4))
+        TupVal(1, 3), TupVal(2, 4)
     )
 
 
@@ -161,8 +183,8 @@ def test_nested_zipt_composition():
     outer = zipt(TupVal(xs, ys))
     nested = VecVal(tuple(zipt(item) for item in outer.items))
     assert nested == vv(
-        vv(TupVal(iv(1), iv(5)), TupVal(iv(2), iv(6))),
-        vv(TupVal(iv(3), iv(7)), TupVal(iv(4), iv(8))),
+        vv(TupVal(1, 5), TupVal(2, 6)),
+        vv(TupVal(3, 7), TupVal(4, 8)),
     )
 
 
@@ -192,10 +214,10 @@ def test_transform_value_tracks_type_and_preserves_order():
 
 
 def test_transform_value_treats_nested_pair_as_leaf():
-    v = vv(*[TupVal(iv(i), iv(10 + i)) for i in range(4)])
+    v = vv(*[TupVal(i, 10 + i) for i in range(4)])
     assert apply_transform_value(parse_transform("R 2 M ( S )"), v) == vv(
-        vv(TupVal(iv(0), iv(10)), TupVal(iv(1), iv(11))),
-        vv(TupVal(iv(2), iv(12)), TupVal(iv(3), iv(13))),
+        vv(TupVal(0, 10), TupVal(1, 11)),
+        vv(TupVal(2, 12), TupVal(3, 13)),
     )
 
 
@@ -225,7 +247,7 @@ def test_transform_value_rejects_ragged():
 
 def test_flatten_fully():
     assert flatten(vv(vv(ints(1, 2)), vv(ints(3, 4)))) == ints(1, 2, 3, 4)
-    assert flatten(iv(9)) == ints(9)
+    assert flatten(9) == ints(9)
 
 
 # -- fold lemma as executable property ----------------------------------------
@@ -246,16 +268,16 @@ def test_nested_fold_equals_flat_fold(prim):
         nested = random_value(Vec(m, Vec(k, Atom("int"))), rng)
         flat = flatten(nested)
         nested_result = _foldl(
-            lambda acc, chunk: _foldl(f, acc, chunk.items), iv(0), nested.items
+            lambda acc, chunk: _foldl(f, acc, chunk.items), 0, nested.items
         )
-        assert nested_result == _foldl(f, iv(0), flat.items)
+        assert nested_result == _foldl(f, 0, flat.items)
 
 
 # -- literals ------------------------------------------------------------------
 
 
 def test_print_parse_values():
-    v = vv(TupVal(iv(-1), iv(2)), TupVal(iv(3), iv(4)))
+    v = vv(TupVal(-1, 2), TupVal(3, 4))
     assert parse_value(print_value(v)) == v
     assert print_value(v) == "[(-1,2),(3,4)]"
 
@@ -283,7 +305,7 @@ def test_integers_past_the_conversion_limit_are_typed_errors():
         parse_value("[" + "1" * 5000 + "]")
     assert isinstance(info.value, VectxError)
     with pytest.raises(ShapeError, match="4300 digits"):
-        print_value(vv(iv(10**5000)))
+        print_value(vv(10**5000))
 
 
 # -- compiled programs -----------------------------------------------------------

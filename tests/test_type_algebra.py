@@ -262,6 +262,23 @@ def test_parse_rejects_zero_size():
         parse_type("[a]<0>")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("R 0", "regroup factor must be >= 1, got 0 at column 3"),
+        ("R^-1 0", "regroup factor must be >= 1, got 0 at column 6"),
+        ("V 0", "wrap size must be >= 1, got 0 at column 3"),
+        ("V^-1 0", "wrap size must be >= 1, got 0 at column 6"),
+        ("M ( R 0 )", "regroup factor must be >= 1, got 0 at column 7"),
+    ],
+)
+def test_parse_transform_rejects_zero_factor(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_transform(text)
+    assert str(info.value) == message
+    assert parse_transform("R 1") == Transform((Regroup(1),))
+
+
 def test_parse_rejects_trailing_garbage():
     with pytest.raises(ParseError):
         parse_type("[a]<2> x")
