@@ -26,17 +26,27 @@ a pair of vectors and a vector of pairs.
 
 A program is compiled once and then run.  ``compile_program`` walks its
 stages and its function table a single time and returns one closure: each
-function becomes a closure shared by all its callers, a ``map`` stage maps
-one over the items and a ``foldl`` stage is a plain loop, so no definition
-is looked up or dispatched per element.  ``eval_program`` compiles and then
-runs; it is the exact reference the derivations are checked against.
+function becomes a closure shared by all its callers, so no definition is
+looked up or dispatched per element.  A ``map`` or ``foldl`` stage runs one
+vector level at a time.  Over a function nested d deep in ``elementwise``
+(or ``foldof``) around a base h, it unfolds d+1 levels into one flat list of
+nodes, checking each level once, and then maps h over the list and rebuilds
+the same lengths (or left-folds h over it).  This is exact because ``S``,
+``R`` and ``M`` never reorder leaves: the nested map visits the same nodes in
+the same order, and the nested fold is the fold-Increase rule read
+backwards.  A checked scalar primitive as h runs as the plain ``int``
+operation, after one check of all its arguments.  ``eval_program`` compiles
+and then runs; it is the exact reference the derivations are checked
+against.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import accumulate, chain
 from typing import Callable, Optional, Union
 
 from .errors import (
@@ -108,19 +118,33 @@ def shape_of(v: Value) -> VecType:
 
 def conforms(v: Value, t: VecType) -> bool:
     """Structural match of a value against a type; any atom admits a scalar."""
-    if isinstance(t, Atom):
-        return type(v) is int
+    return _all_conform([v], t)
+
+
+def _all_conform(nodes: list[Value], t: VecType) -> bool:
+    """Whether every one of ``nodes`` conforms to t, checked one vector level
+    at a time; only a pair recurses, once per component."""
+    while isinstance(t, Vec):
+        n = t.size
+        for x in nodes:
+            if not isinstance(x, VecVal) or len(x.items) != n:
+                return False
+        nodes = list(chain.from_iterable([x.items for x in nodes]))
+        t = t.element
     if isinstance(t, Pair):
         return (
-            isinstance(v, TupVal)
-            and conforms(v.fst, t.fst)
-            and conforms(v.snd, t.snd)
+            all(isinstance(x, TupVal) for x in nodes)
+            and _all_conform([x.fst for x in nodes], t.fst)
+            and _all_conform([x.snd for x in nodes], t.snd)
         )
-    return (
-        isinstance(v, VecVal)
-        and len(v.items) == t.size
-        and all(conforms(item, t.element) for item in v.items)
-    )
+    return _all_scalars(nodes)
+
+
+def _all_scalars(xs: list[Value]) -> bool:
+    return set(map(type, xs)) <= _INT
+
+
+_INT = {int}
 
 
 def random_value(t: VecType, rng: random.Random, lo: int = -99, hi: int = 99) -> Value:
@@ -300,12 +324,12 @@ def _parse_value(text: str, pos: int, depth: int = 0) -> tuple[Value, int]:
     if ch == "[":
         check_nesting(depth + 1, pos + 1)
         pos += 1
+        while pos < len(text) and text[pos].isspace():
+            pos += 1
+        if pos < len(text) and text[pos] == "]":
+            return VecVal(()), pos + 1
         items = []
-        while True:
-            while pos < len(text) and text[pos].isspace():
-                pos += 1
-            if pos < len(text) and text[pos] == "]":
-                return VecVal(tuple(items)), pos + 1
+        while True:  # after a comma comes an item, so "[1,]" is an error at its "]"
             item, pos = _parse_value(text, pos, depth + 1)
             items.append(item)
             while pos < len(text) and text[pos].isspace():
@@ -364,33 +388,26 @@ def _tup(v: Value) -> TupVal:
     return v
 
 
-def _p_add1(x):
-    return _scalar(x) + 1
-
-
-def _p_mul3(x):
-    return _scalar(x) * 3
-
-
-def _p_negate(x):
-    return -_scalar(x)
-
-
-def _p_add(acc, x):
-    return _scalar(acc) + _scalar(x)
-
-
-def _p_mul(acc, x):
-    return _scalar(acc) * _scalar(x)
-
-
-def _p_max(acc, x):
-    return max(_scalar(acc), _scalar(x))
-
-
-def _p_dec_shift(acc, x):
+# The scalar primitives as plain ``int`` operations.  ``PRIMITIVES`` holds
+# them checked; a ``map`` or ``foldl`` pass runs them plain, after checking
+# its leaves once (``_map_levels``, ``_fold_levels``).
+_SCALAR_OPS: dict[str, tuple[int, Callable[..., int]]] = {
+    "add1": (1, lambda x: x + 1),
+    "mul3": (1, lambda x: x * 3),
+    "negate": (1, operator.neg),
+    "add": (2, operator.add),
+    "mul": (2, operator.mul),
+    "max": (2, lambda acc, x: x if x > acc else acc),
     # Non-commutative on purpose: order bugs change the result.
-    return 10 * _scalar(acc) + _scalar(x)
+    "dec_shift": (2, lambda acc, x: 10 * acc + x),
+}
+
+
+def _checked(arity: int, op: Callable[..., int]) -> Callable[..., int]:
+    """``op`` with each argument checked to be a scalar, first to last."""
+    if arity == 1:
+        return lambda x: op(_scalar(x))
+    return lambda acc, x: op(_scalar(acc), _scalar(x))
 
 
 def _p_sum(xs):
@@ -415,13 +432,7 @@ def _p_add_head(acc, chunk):
 
 
 PRIMITIVES: dict[str, tuple[int, Callable[..., Value]]] = {
-    "add1": (1, _p_add1),
-    "mul3": (1, _p_mul3),
-    "negate": (1, _p_negate),
-    "add": (2, _p_add),
-    "mul": (2, _p_mul),
-    "max": (2, _p_max),
-    "dec_shift": (2, _p_dec_shift),
+    **{name: (arity, _checked(arity, op)) for name, (arity, op) in _SCALAR_OPS.items()},
     "sum": (1, _p_sum),
     "reverse": (1, _p_reverse),
     "swap": (1, _p_swap),
@@ -429,6 +440,9 @@ PRIMITIVES: dict[str, tuple[int, Callable[..., Value]]] = {
     "zipt": (1, zipt),
     "unzipt": (1, unzipt),
 }
+
+# A checked scalar primitive -> the plain operation it checks.
+_PLAIN = {PRIMITIVES[name][1]: op for name, (_, op) in _SCALAR_OPS.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -501,10 +515,9 @@ def compile_program(program) -> Callable[[Value], Value]:
                 return None, _raises(MissingPrimitiveError, f"unknown primitive {d.prim!r}")
             return PRIMITIVES[d.prim]
         if isinstance(d, ElementwiseDef):
-            h = call(d.fn, 1)
-            return 1, lambda xs: VecVal(tuple(map(h, _vec(xs).items)))
+            return 1, _map_levels(call(d.fn, 1), 1)
         if isinstance(d, FoldOfDef):
-            return 2, _folder(call(d.fn, 2))
+            return 2, _fold_levels(call(d.fn, 2), 1)
         if isinstance(d, WrapElemDef):
             h, k = call(d.fn, 1), d.k
             return 1, lambda x: from_vector(k, h(to_vector(k, x)))
@@ -513,12 +526,23 @@ def compile_program(program) -> Callable[[Value], Value]:
             return 2, lambda acc, x: h(acc, to_vector(k, x))
         return None, _raises(TypeError, f"unknown definition {d!r}")
 
+    def unnest(name: str, kind: type) -> tuple[int, str]:
+        """The vector levels a stage over ``name`` unfolds (one, plus one per
+        ``kind`` definition it is nested in) and the base function it reaches.
+        A cycle stops at the first name seen twice, which then recurses."""
+        levels, seen = 1, set()
+        while name in fns and isinstance(fns[name].defn, kind) and name not in seen:
+            seen.add(name)
+            name, levels = fns[name].defn.fn, levels + 1
+        return levels, name
+
     def stage(s) -> Callable[[Value], Value]:
         if isinstance(s, MapStage):
-            f = call(s.fn, 1)
-            return lambda v: VecVal(tuple(map(f, _vec(v).items)))
+            levels, base = unnest(s.fn, ElementwiseDef)
+            return _map_levels(call(base, 1), levels)
         if isinstance(s, FoldStage):
-            fold, acc = _folder(call(s.fn, 2)), s.acc
+            levels, base = unnest(s.fn, FoldOfDef)
+            fold, acc = _fold_levels(call(base, 2), levels), s.acc
             return lambda v: fold(acc, v)
         if isinstance(s, ZiptStage):
             return zipt
@@ -543,15 +567,64 @@ def compile_program(program) -> Callable[[Value], Value]:
     return run_program
 
 
-def _folder(h: Callable[[Value, Value], Value]) -> Callable[[Value, Value], Value]:
-    """``acc, xs -> foldl h acc xs``."""
+def _map_levels(h: Callable[[Value], Value], levels: int) -> Callable[[Value], Value]:
+    """``map`` nested ``levels`` deep: ``h`` applied to every node ``levels``
+    vector levels down, in one pass over the flat node list, and the result
+    rebuilt at the same lengths.  A checked scalar primitive runs plain,
+    after one check of all its arguments."""
+    op = _PLAIN.get(h)
 
-    def fold(acc, xs):
-        for x in _vec(xs).items:
-            acc = h(acc, x)
-        return acc
+    def run(v):
+        nodes, lengths = _unfold(v, levels)
+        if op is None:
+            outs = tuple(map(h, nodes))
+        else:
+            _check_scalars(nodes)
+            outs = tuple(map(op, nodes))
+        for ns in reversed(lengths):
+            ends = list(accumulate(ns))
+            outs = tuple([VecVal(outs[e - n : e]) for n, e in zip(ns, ends)])
+        return outs[0]
 
-    return fold
+    return run
+
+
+def _fold_levels(h: Callable[[Value, Value], Value], levels: int) -> Callable[[Value, Value], Value]:
+    """``acc, v -> foldl h acc nodes`` over the nodes ``levels`` vector levels
+    down in ``v``: ``foldof`` nested in a fold is a fold of the flat nodes,
+    since ``S``, ``R`` and ``M`` never reorder leaves.  A checked scalar
+    primitive runs plain, after one check of the accumulator and the nodes."""
+    op = _PLAIN.get(h)
+
+    def run(acc, v):
+        nodes, _ = _unfold(v, levels)
+        if op is None:
+            return reduce(h, nodes, acc)
+        if nodes and type(acc) is not int:
+            raise ShapeError("primitive expected a scalar argument")
+        _check_scalars(nodes)
+        return reduce(op, nodes, acc)
+
+    return run
+
+
+def _unfold(v: Value, levels: int) -> tuple[list[Value], list[list[int]]]:
+    """The nodes ``levels`` vector levels down in ``v``, in leaf order, and
+    the lengths of the vectors at each level, outermost first.  Each level is
+    checked once to hold only vectors."""
+    nodes, lengths = [v], []
+    for _ in range(levels):
+        for x in nodes:
+            if not isinstance(x, VecVal):
+                raise ShapeError("primitive expected a vector argument")
+        lengths.append([len(x.items) for x in nodes])
+        nodes = list(chain.from_iterable([x.items for x in nodes]))
+    return nodes, lengths
+
+
+def _check_scalars(xs: list[Value]) -> None:
+    if not _all_scalars(xs):
+        raise ShapeError("primitive expected a scalar argument")
 
 
 def _chain(fs: list[Callable[[Value], Value]]) -> Callable[[Value], Value]:

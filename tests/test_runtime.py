@@ -11,7 +11,7 @@ from vectx.errors import (
     ShapeError,
     VectxError,
 )
-from vectx.program_ir import parse_program
+from vectx.program_ir import FnSig, FoldStage, OpaqueFn, PrimDef, Program, parse_program, typecheck
 from vectx.runtime import (
     PRIMITIVES,
     TupVal,
@@ -74,6 +74,30 @@ def test_a_non_integer_leaf_does_not_conform(leaf):
     p = parse_program("input s :: [a]<2>\nresult r = s\n")
     with pytest.raises(ShapeError, match="input value does not conform"):
         eval_program(p, vv(leaf, 2))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[[[1,2],[3,4]],[[5,6]]]",  # a ragged vector at depth 2
+        "[[[1,2],(3,4)],[[5,6],[7,8]]]",  # a pair where depth 3 needs a vector
+        "[[[1,2],[3,4]],[[5,6],[7,8,9]]]",  # a wrong innermost size
+    ],
+)
+def test_a_deep_mismatch_does_not_conform(text):
+    assert not conforms(parse_value(text), parse_type("[[[a]<2>]<2>]<2>"))
+
+
+def test_a_deep_bool_leaf_does_not_conform():
+    v = vv(vv(ints(1, 2), ints(3, 4)), vv(ints(5, 6), ints(7, True)))
+    assert conforms(parse_value("[[[1,2],[3,4]],[[5,6],[7,8]]]"), parse_type("[[[a]<2>]<2>]<2>"))
+    assert not conforms(v, parse_type("[[[a]<2>]<2>]<2>"))
+
+
+def test_a_vector_of_pairs_of_vectors_conforms():
+    v = parse_value("[([1,2],[3,4]),([5,6],[7,8]),([9,10],[11,12])]")
+    assert conforms(v, parse_type("[([a]<2>,[b]<2>)]<3>"))
+    assert not conforms(v, parse_type("[([a]<2>,[b]<3>)]<3>"))
 
 
 def test_scalars_are_plain_ints():
@@ -289,6 +313,19 @@ def test_parse_value_rejects_garbage():
         parse_value("(1)")
 
 
+@pytest.mark.parametrize("text, column", [("[1,2,]", 6), ("[[1],[2],]", 10), ("[ 1 , ]", 7)])
+def test_parse_value_rejects_a_trailing_comma(text, column):
+    with pytest.raises(ParseError) as info:
+        parse_value(text)
+    assert info.value.column == column
+    assert text[column - 1] == "]"
+
+
+def test_parse_value_reads_an_empty_vector():
+    assert parse_value("[]") == VecVal(())
+    assert parse_value("[ [], [] ]") == vv(VecVal(()), VecVal(()))
+
+
 @pytest.mark.parametrize(
     "nested",
     [lambda d: "[" * d + "1" + "]" * d, lambda d: "(1," * d + "1" + ")" * d],
@@ -362,3 +399,92 @@ result r = g s
     run = compile_program(parse_program(text))
     with pytest.raises(ShapeError, match="primitive expected a vector argument"):
         run(vv(ints(1), ints(2)))
+
+
+# A map over a function nested two levels deep in ``elementwise``, and folds
+# over ``foldof`` chains: the base function runs on the nodes three vector
+# levels down, in leaf order.
+NESTED_MAP = """\
+input s :: {input}
+fn h :: {h_sig}
+{h_body}
+fn e1 :: [{h_arg}]<{k1}> -> [{h_ret}]<{k1}>
+fn e1 = elementwise h
+fn e2 :: [[{h_arg}]<{k1}>]<{k2}> -> [[{h_ret}]<{k1}>]<{k2}>
+fn e2 = elementwise e1
+stage g = map e2
+result r = g s
+"""
+
+
+def test_map_over_a_nested_chain_without_a_body_fails_only_when_run():
+    text = NESTED_MAP.format(
+        input="[[[a]<2>]<2>]<2>", h_sig="a -> a", h_body="", h_arg="a", h_ret="a", k1=2, k2=2
+    )
+    run = compile_program(parse_program(text))
+    with pytest.raises(MissingPrimitiveError) as info:
+        run(parse_value("[[[1,2],[3,4]],[[5,6],[7,8]]]"))
+    assert str(info.value) == "function h has no executable body"
+
+
+def test_map_over_a_nested_reverse_chain():
+    text = NESTED_MAP.format(
+        input="[[[[a]<3>]<2>]<1>]<2>",
+        h_sig="[a]<3> -> [a]<3>",
+        h_body="fn h = prim reverse",
+        h_arg="[a]<3>",
+        h_ret="[a]<3>",
+        k1=2,
+        k2=1,
+    )
+    p = parse_program(text)
+    typecheck(p)
+    out = eval_program(p, parse_value("[[[[1,2,3],[4,5,6]]],[[[7,8,9],[10,11,12]]]]"))
+    assert print_value(out) == "[[[[3,2,1],[6,5,4]]],[[[9,8,7],[12,11,10]]]]"
+
+
+def test_map_over_a_nested_swap_chain():
+    text = NESTED_MAP.format(
+        input="[[[(a,b)]<2>]<1>]<2>",
+        h_sig="(a,b) -> (b,a)",
+        h_body="fn h = prim swap",
+        h_arg="(a,b)",
+        h_ret="(b,a)",
+        k1=2,
+        k2=1,
+    )
+    p = parse_program(text)
+    typecheck(p)
+    out = eval_program(p, parse_value("[[[(1,2),(3,4)]],[[(5,6),(7,8)]]]"))
+    assert print_value(out) == "[[[(2,1),(4,3)]],[[(6,5),(8,7)]]]"
+
+
+def test_fold_over_a_nested_add_head_chain():
+    text = """\
+input s :: [[[[a]<2>]<2>]<2>]<1>
+fn h :: b -> [a]<2> -> b
+fn h = prim add_head
+fn f1 :: b -> [[a]<2>]<2> -> b
+fn f1 = foldof h
+fn f2 :: b -> [[[a]<2>]<2>]<2> -> b
+fn f2 = foldof f1
+stage g = foldl f2 100
+result r = g s
+"""
+    p = parse_program(text)
+    typecheck(p)
+    v = parse_value("[[[[1,2],[3,4]],[[5,6],[7,8]]]]")
+    assert eval_program(p, v) == 100 + 1 + 3 + 5 + 7
+
+
+def test_unchecked_fold_with_a_vector_accumulator_is_shape_error():
+    p = Program(
+        "s",
+        parse_type("[a]<2>"),
+        {"f": OpaqueFn("f", FnSig((Atom("b"), Atom("a")), Atom("b")), PrimDef("add"))},
+        (("g", FoldStage("f", vv(1))),),
+        "r",
+    )
+    with pytest.raises(ShapeError) as info:
+        eval_program(p, ints(1, 2))
+    assert str(info.value) == "primitive expected a scalar argument"
