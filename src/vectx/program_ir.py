@@ -316,8 +316,10 @@ def _parse_sig(text: str, line_no: int) -> FnSig:
 
 def _parse_size(text: str, what: str, line_no: int) -> int:
     try:
+        if not text.isdecimal():  # digits only, as in a type's <size>
+            raise ValueError(text)
         k = int(text)
-    except ValueError:
+    except ValueError:  # or more digits than int() converts
         raise ParseError(f"{what} needs an integer", line=line_no) from None
     if k < 1:
         raise ParseError(f"{what} needs a size >= 1", line=line_no)

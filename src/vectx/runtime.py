@@ -34,10 +34,15 @@ nodes, checking each level once, and then maps h over the list and rebuilds
 the same lengths (or left-folds h over it).  This is exact because ``S``,
 ``R`` and ``M`` never reorder leaves: the nested map visits the same nodes in
 the same order, and the nested fold is the fold-Increase rule read
-backwards.  A checked scalar primitive as h runs as the plain ``int``
-operation, after one check of all its arguments.  ``eval_program`` compiles
-and then runs; it is the exact reference the derivations are checked
-against.
+backwards.  ``eval_program`` compiles and then runs; it is the exact
+reference the derivations are checked against.
+
+Each primitive is stated once, in ``_TABLE``: the class of each argument
+(or none, where the operation checks it itself) and the plain operation.
+``PRIMITIVES`` checks the classes first to last on every call.  A ``map`` or
+``foldl`` pass checks them once per level and runs the plain operation on
+every node; if that check fails, it calls the checked primitive node by
+node, so it raises what a direct call raises.
 """
 
 from __future__ import annotations
@@ -101,21 +106,6 @@ def vv(*items: Value) -> VecVal:
     return VecVal(tuple(items))
 
 
-def shape_of(v: Value) -> VecType:
-    """The type a value inhabits; scalar atoms are reported as ``int``."""
-    if type(v) is int:
-        return Atom("int")
-    if isinstance(v, TupVal):
-        return Pair(shape_of(v.fst), shape_of(v.snd))
-    if not v.items:
-        raise ShapeError("empty vector has no shape")
-    first = shape_of(v.items[0])
-    for item in v.items[1:]:
-        if shape_of(item) != first:
-            raise ShapeError("ragged vector: elements differ in shape")
-    return Vec(len(v.items), first)
-
-
 def conforms(v: Value, t: VecType) -> bool:
     """Structural match of a value against a type; any atom admits a scalar."""
     return _all_conform([v], t)
@@ -133,18 +123,16 @@ def _all_conform(nodes: list[Value], t: VecType) -> bool:
         t = t.element
     if isinstance(t, Pair):
         return (
-            all(isinstance(x, TupVal) for x in nodes)
+            _all_of(nodes, TupVal)
             and _all_conform([x.fst for x in nodes], t.fst)
             and _all_conform([x.snd for x in nodes], t.snd)
         )
-    return _all_scalars(nodes)
+    return _all_of(nodes, int)
 
 
-def _all_scalars(xs: list[Value]) -> bool:
-    return set(map(type, xs)) <= _INT
-
-
-_INT = {int}
+def _all_of(xs, cls: type) -> bool:
+    """Whether each of ``xs`` is exactly a ``cls``: a ``bool`` is no ``int``."""
+    return set(map(type, xs)) <= {cls}
 
 
 def random_value(t: VecType, rng: random.Random, lo: int = -99, hi: int = 99) -> Value:
@@ -208,8 +196,8 @@ def to_vector(k: int, v: Value) -> VecVal:
     return VecVal((v,) * k)
 
 
-def from_vector(k: int, v: Value) -> Value:
-    """Head of a non-empty vector (k is not inspected)."""
+def from_vector(v: Value) -> Value:
+    """Head of a non-empty vector."""
     if not isinstance(v, VecVal) or not v.items:
         raise ShapeError("fromVector needs a non-empty vector")
     return v.items[0]
@@ -356,7 +344,7 @@ def _parse_value(text: str, pos: int, depth: int = 0) -> tuple[Value, int]:
     start = pos
     if ch == "-":
         pos += 1
-    while pos < len(text) and text[pos].isdigit():
+    while pos < len(text) and text[pos].isdecimal():
         pos += 1
     if pos == start or text[start:pos] == "-":
         raise ParseError(f"unexpected character {ch!r} in value", column=start + 1)
@@ -370,79 +358,65 @@ def _parse_value(text: str, pos: int, depth: int = 0) -> tuple[Value, int]:
 # Primitive library
 
 
-def _scalar(v: Value) -> int:
-    if type(v) is not int:
-        raise ShapeError("primitive expected a scalar argument")
-    return v
+def _class_error(cls: type) -> ShapeError:
+    name = {int: "scalar", VecVal: "vector", TupVal: "pair"}[cls]
+    return ShapeError(f"primitive expected a {name} argument")
 
 
-def _vec(v: Value) -> VecVal:
-    if not isinstance(v, VecVal):
-        raise ShapeError("primitive expected a vector argument")
-    return v
+def _sum(xs: VecVal) -> int:
+    if not _all_of(xs.items, int):
+        raise _class_error(int)
+    return sum(xs.items)
 
 
-def _tup(v: Value) -> TupVal:
-    if not isinstance(v, TupVal):
-        raise ShapeError("primitive expected a pair argument")
-    return v
+def _add_head(acc, chunk: VecVal) -> int:
+    # Chunk-sensitive fold step: only the head of each chunk contributes.
+    if not chunk.items:
+        raise ShapeError("add_head needs a non-empty chunk")
+    head = chunk.items[0]
+    if type(acc) is not int or type(head) is not int:
+        raise _class_error(int)
+    return acc + head
 
 
-# The scalar primitives as plain ``int`` operations.  ``PRIMITIVES`` holds
-# them checked; a ``map`` or ``foldl`` pass runs them plain, after checking
-# its leaves once (``_map_levels``, ``_fold_levels``).
-_SCALAR_OPS: dict[str, tuple[int, Callable[..., int]]] = {
-    "add1": (1, lambda x: x + 1),
-    "mul3": (1, lambda x: x * 3),
-    "negate": (1, operator.neg),
-    "add": (2, operator.add),
-    "mul": (2, operator.mul),
-    "max": (2, lambda acc, x: x if x > acc else acc),
+# name -> (argument classes, plain operation).  A two-argument primitive
+# returns a value of its accumulator's class, so a plain fold stays plain.
+_TABLE: dict[str, tuple[tuple[Optional[type], ...], Callable[..., Value]]] = {
+    "add1": ((int,), lambda x: x + 1),
+    "mul3": ((int,), lambda x: x * 3),
+    "negate": ((int,), operator.neg),
+    "add": ((int, int), operator.add),
+    "mul": ((int, int), operator.mul),
+    "max": ((int, int), lambda acc, x: x if x > acc else acc),
     # Non-commutative on purpose: order bugs change the result.
-    "dec_shift": (2, lambda acc, x: 10 * acc + x),
+    "dec_shift": ((int, int), lambda acc, x: 10 * acc + x),
+    "sum": ((VecVal,), _sum),
+    "reverse": ((VecVal,), lambda xs: VecVal(xs.items[::-1])),
+    "swap": ((TupVal,), lambda t: TupVal(t.snd, t.fst)),
+    "add_head": ((None, VecVal), _add_head),
+    "zipt": ((None,), zipt),
+    "unzipt": ((None,), unzipt),
 }
 
 
-def _checked(arity: int, op: Callable[..., int]) -> Callable[..., int]:
-    """``op`` with each argument checked to be a scalar, first to last."""
-    if arity == 1:
-        return lambda x: op(_scalar(x))
-    return lambda acc, x: op(_scalar(acc), _scalar(x))
+def _guard(classes: tuple[Optional[type], ...], op: Callable[..., Value]) -> Callable[..., Value]:
+    """``op`` with each argument checked against its class, first to last."""
 
+    def call(*args):
+        for x, cls in zip(args, classes):
+            if cls is not None and type(x) is not cls:
+                raise _class_error(cls)
+        return op(*args)
 
-def _p_sum(xs):
-    return sum(_scalar(x) for x in _vec(xs).items)
-
-
-def _p_reverse(xs):
-    return VecVal(tuple(reversed(_vec(xs).items)))
-
-
-def _p_swap(t):
-    t = _tup(t)
-    return TupVal(t.snd, t.fst)
-
-
-def _p_add_head(acc, chunk):
-    # Chunk-sensitive fold step: only the head of each chunk contributes.
-    chunk = _vec(chunk)
-    if not chunk.items:
-        raise ShapeError("add_head needs a non-empty chunk")
-    return _scalar(acc) + _scalar(chunk.items[0])
+    return call
 
 
 PRIMITIVES: dict[str, tuple[int, Callable[..., Value]]] = {
-    **{name: (arity, _checked(arity, op)) for name, (arity, op) in _SCALAR_OPS.items()},
-    "sum": (1, _p_sum),
-    "reverse": (1, _p_reverse),
-    "swap": (1, _p_swap),
-    "add_head": (2, _p_add_head),
-    "zipt": (1, zipt),
-    "unzipt": (1, unzipt),
+    name: (len(classes), _guard(classes, op)) for name, (classes, op) in _TABLE.items()
 }
 
-# A checked scalar primitive -> the plain operation it checks.
-_PLAIN = {PRIMITIVES[name][1]: op for name, (_, op) in _SCALAR_OPS.items()}
+# A checked primitive -> its argument classes and plain operation.
+_PLAIN = {PRIMITIVES[name][1]: entry for name, entry in _TABLE.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +494,7 @@ def compile_program(program) -> Callable[[Value], Value]:
             return 2, _fold_levels(call(d.fn, 2), 1)
         if isinstance(d, WrapElemDef):
             h, k = call(d.fn, 1), d.k
-            return 1, lambda x: from_vector(k, h(to_vector(k, x)))
+            return 1, lambda x: from_vector(h(to_vector(k, x)))
         if isinstance(d, WrapFoldDef):
             h, k = call(d.fn, 2), d.k
             return 2, lambda acc, x: h(acc, to_vector(k, x))
@@ -570,17 +544,14 @@ def compile_program(program) -> Callable[[Value], Value]:
 def _map_levels(h: Callable[[Value], Value], levels: int) -> Callable[[Value], Value]:
     """``map`` nested ``levels`` deep: ``h`` applied to every node ``levels``
     vector levels down, in one pass over the flat node list, and the result
-    rebuilt at the same lengths.  A checked scalar primitive runs plain,
-    after one check of all its arguments."""
-    op = _PLAIN.get(h)
+    rebuilt at the same lengths.  A checked primitive runs plain after one
+    class check of the nodes; when that fails, the checked ``h`` runs on each
+    node in turn and raises what a direct call raises."""
+    (cls,), op = _PLAIN.get(h, ((None,), h))
 
     def run(v):
         nodes, lengths = _unfold(v, levels)
-        if op is None:
-            outs = tuple(map(h, nodes))
-        else:
-            _check_scalars(nodes)
-            outs = tuple(map(op, nodes))
+        outs = tuple(map(op if cls is None or _all_of(nodes, cls) else h, nodes))
         for ns in reversed(lengths):
             ends = list(accumulate(ns))
             outs = tuple([VecVal(outs[e - n : e]) for n, e in zip(ns, ends)])
@@ -592,18 +563,15 @@ def _map_levels(h: Callable[[Value], Value], levels: int) -> Callable[[Value], V
 def _fold_levels(h: Callable[[Value, Value], Value], levels: int) -> Callable[[Value, Value], Value]:
     """``acc, v -> foldl h acc nodes`` over the nodes ``levels`` vector levels
     down in ``v``: ``foldof`` nested in a fold is a fold of the flat nodes,
-    since ``S``, ``R`` and ``M`` never reorder leaves.  A checked scalar
-    primitive runs plain, after one check of the accumulator and the nodes."""
-    op = _PLAIN.get(h)
+    since ``S``, ``R`` and ``M`` never reorder leaves.  A checked primitive
+    runs plain after one class check of the accumulator and the nodes, and
+    checked, step by step, when that fails."""
+    (acc_cls, cls), op = _PLAIN.get(h, ((None, None), h))
 
     def run(acc, v):
         nodes, _ = _unfold(v, levels)
-        if op is None:
-            return reduce(h, nodes, acc)
-        if nodes and type(acc) is not int:
-            raise ShapeError("primitive expected a scalar argument")
-        _check_scalars(nodes)
-        return reduce(op, nodes, acc)
+        plain = (acc_cls is None or type(acc) is acc_cls) and (cls is None or _all_of(nodes, cls))
+        return reduce(op if plain else h, nodes, acc)
 
     return run
 
@@ -620,11 +588,6 @@ def _unfold(v: Value, levels: int) -> tuple[list[Value], list[list[int]]]:
         lengths.append([len(x.items) for x in nodes])
         nodes = list(chain.from_iterable([x.items for x in nodes]))
     return nodes, lengths
-
-
-def _check_scalars(xs: list[Value]) -> None:
-    if not _all_scalars(xs):
-        raise ShapeError("primitive expected a scalar argument")
 
 
 def _chain(fs: list[Callable[[Value], Value]]) -> Callable[[Value], Value]:

@@ -504,7 +504,7 @@ class _Scanner:
         """An integer of at least 1; ``what`` names it in the error."""
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected an integer", column=start + 1)

@@ -2,12 +2,14 @@
 
 import random
 
-from vectx.runtime import VecVal
+from vectx.errors import ShapeError
+from vectx.runtime import TupVal, VecVal
 from vectx.type_algebra import (
     Atom,
     Ident,
     Lift,
     MapElem,
+    Pair,
     Regroup,
     RegroupInv,
     Transform,
@@ -135,3 +137,19 @@ def flatten(v) -> VecVal:
         else:
             out.append(item)
     return VecVal(tuple(out))
+
+
+def shape_of(v):
+    """The type a value inhabits, scalar atoms reported as ``int``: the shape
+    oracle that value reshapes are checked against."""
+    if type(v) is int:
+        return Atom("int")
+    if isinstance(v, TupVal):
+        return Pair(shape_of(v.fst), shape_of(v.snd))
+    if not v.items:
+        raise ShapeError("empty vector has no shape")
+    first = shape_of(v.items[0])
+    for item in v.items[1:]:
+        if shape_of(item) != first:
+            raise ShapeError("ragged vector: elements differ in shape")
+    return Vec(len(v.items), first)

@@ -127,6 +127,24 @@ def test_wrapper_size_must_be_an_integer(kind):
 
 
 @pytest.mark.parametrize(
+    "line, message",
+    [
+        ("fn f = wrapelem g 1_0", "wrapelem needs an integer at line 3"),
+        ("fn f = wrapfold g +2", "wrapfold needs an integer at line 3"),
+        ("stage g = reshapeTo +1_0", "reshapeTo needs an integer at line 4"),
+        ("stage g = reshapeFrom 1_0", "reshapeFrom needs an integer at line 4"),
+    ],
+)
+def test_sizes_are_runs_of_decimal_digits(line, message):
+    """A size reads as in a type's ``<size>``, so a program prints back as
+    it was written."""
+    old = "fn f = prim add1" if line.startswith("fn") else "stage g = map f"
+    with pytest.raises(ParseError) as info:
+        parse_program(MAP_PROGRAM.replace(old, line))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
     "input_type, stages",
     [
         ("[a]<4>", "reshapeTo 3"),

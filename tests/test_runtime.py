@@ -1,8 +1,9 @@
 import random
+from functools import reduce
 
 import pytest
 
-from gen import flatten, random_applicable_transform, random_type
+from gen import flatten, random_applicable_transform, random_type, shape_of
 from vectx.errors import (
     DivisibilityError,
     LengthMismatchError,
@@ -11,7 +12,19 @@ from vectx.errors import (
     ShapeError,
     VectxError,
 )
-from vectx.program_ir import FnSig, FoldStage, OpaqueFn, PrimDef, Program, parse_program, typecheck
+from vectx import runtime
+from vectx.program_ir import (
+    ElementwiseDef,
+    FnSig,
+    FoldOfDef,
+    FoldStage,
+    MapStage,
+    OpaqueFn,
+    PrimDef,
+    Program,
+    parse_program,
+    typecheck,
+)
 from vectx.runtime import (
     PRIMITIVES,
     TupVal,
@@ -26,7 +39,6 @@ from vectx.runtime import (
     random_value,
     reshape_from,
     reshape_to,
-    shape_of,
     to_vector,
     unzipt,
     vv,
@@ -169,16 +181,16 @@ def test_to_vector_replicates():
 
 
 def test_from_vector_takes_head():
-    assert from_vector(3, ints(7, 8, 9)) == 7
+    assert from_vector(ints(7, 8, 9)) == 7
 
 
 def test_vector_round_trip():
-    assert from_vector(4, to_vector(4, 5)) == 5
+    assert from_vector(to_vector(4, 5)) == 5
 
 
 def test_from_vector_empty_fails():
     with pytest.raises(ShapeError):
-        from_vector(1, vv())
+        from_vector(vv())
 
 
 # -- zipt / unzipt -----------------------------------------------------------
@@ -319,6 +331,12 @@ def test_parse_value_rejects_a_trailing_comma(text, column):
         parse_value(text)
     assert info.value.column == column
     assert text[column - 1] == "]"
+
+
+def test_parse_value_rejects_digits_int_cannot_read():
+    with pytest.raises(ParseError) as info:
+        parse_value("[²]")
+    assert str(info.value) == "unexpected character '²' in value at column 2"
 
 
 def test_parse_value_reads_an_empty_vector():
@@ -488,3 +506,74 @@ def test_unchecked_fold_with_a_vector_accumulator_is_shape_error():
     with pytest.raises(ShapeError) as info:
         eval_program(p, ints(1, 2))
     assert str(info.value) == "primitive expected a scalar argument"
+
+
+# One valid argument list per primitive, and values of each class to put in
+# place of one argument at a time.
+VALID_ARGS = {
+    "add1": (5,),
+    "mul3": (5,),
+    "negate": (5,),
+    "add": (2, 5),
+    "mul": (2, 5),
+    "max": (2, 5),
+    "dec_shift": (2, 5),
+    "sum": (ints(1, 2),),
+    "reverse": (ints(1, 2),),
+    "swap": (TupVal(1, 2),),
+    "add_head": (2, ints(5, 6)),
+    "zipt": (TupVal(ints(1), ints(2)),),
+    "unzipt": (vv(TupVal(1, 2)),),
+}
+WRONG_CLASS = [3, True, VecVal(()), ints(1, 2), TupVal(1, 2)]
+
+
+def _outcome(run):
+    """What ``run()`` returns, or the class and text of what it raises."""
+    try:
+        return run()
+    except Exception as e:
+        return type(e), str(e)
+
+
+def _nest(nodes, levels):
+    """``nodes`` as the innermost vector, inside ``levels - 1`` singletons."""
+    v = VecVal(tuple(nodes))
+    for _ in range(levels - 1):
+        v = vv(v)
+    return v
+
+
+@pytest.mark.parametrize("wrong", WRONG_CLASS, ids=["int", "bool", "empty", "vector", "pair"])
+@pytest.mark.parametrize(
+    "name, position", [(name, i) for name, (arity, _) in PRIMITIVES.items() for i in range(arity)]
+)
+def test_level_pass_raises_what_a_direct_call_raises(monkeypatch, name, position, wrong):
+    """A ``map`` or ``foldl`` stage over a primitive, directly and one and two
+    ``elementwise``/``foldof`` levels down, returns or raises exactly what
+    direct calls of the checked primitive on the same nodes do, when one
+    argument is replaced by a value that may be of another class."""
+    arity, f = PRIMITIVES[name]
+    args = VALID_ARGS[name]
+    if arity == 1:
+        acc, nodes = None, [args[0], wrong]
+    elif position == 0:
+        acc, nodes = wrong, [args[1], args[1]]
+    else:
+        acc, nodes = args[0], [args[1], wrong]
+
+    def direct(levels):
+        return _nest(map(f, nodes), levels) if arity == 1 else reduce(f, nodes, acc)
+
+    # The stage's input is of no type: check only the level pass.
+    monkeypatch.setattr(runtime, "conforms", lambda v, t: True)
+    sig = FnSig((Atom("a"),) * arity, Atom("a"))
+    fns = {"h1": OpaqueFn("h1", sig, PrimDef(name))}
+    for levels in (1, 2, 3):
+        if levels > 1:
+            inner = ElementwiseDef if arity == 1 else FoldOfDef
+            fns[f"h{levels}"] = OpaqueFn(f"h{levels}", sig, inner(f"h{levels - 1}"))
+        stage = MapStage(f"h{levels}") if arity == 1 else FoldStage(f"h{levels}", acc)
+        p = Program("s", Atom("a"), fns, (("g", stage),), "r")
+        got = _outcome(lambda: eval_program(p, _nest(nodes, levels)))
+        assert got == _outcome(lambda: direct(levels))

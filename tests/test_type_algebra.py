@@ -311,6 +311,19 @@ def test_parse_rejects_sizes_past_the_conversion_limit():
         parse_type("[a]<" + "1" * 5000 + ">")
 
 
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_type, "[a]<²>", "expected an integer at column 5"),
+        (parse_transform, "R ²", "expected an integer at column 3"),
+    ],
+)
+def test_parse_rejects_digits_int_cannot_read(parse, text, message):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value) == message
+
+
 types = st.recursive(
     st.sampled_from(["a", "b", "x_1"]).map(Atom),
     lambda kids: st.one_of(
