@@ -11,7 +11,9 @@ A transform that uses ``V`` is not a reshape and is rejected.
 
 Each step is then pushed through the pipeline one stage at a time.  A stage
 consumes the steps arriving at its input and emits the steps describing how
-its output type moved; those become the next stage's context.  The rules:
+its output type moved; those become the next stage's context.  The rules
+are one table, ``RULES``, keyed by stage kind and step kind; each rewrites a
+stage into a short run of stages:
 
   map f      Increase:    map (map f), always preserved.
              Decrease:    f' = head . f . replicate, preserved only when
@@ -23,10 +25,13 @@ its output type moved; those become the next stage's context.  The rules:
                           when f is a declared fold (then f' is the declared
                           step function).
              Repartition: decrease then increase.
-  zipt       Increase:    map zipt . zipt; otherwise conjugate with the
-                          reshapes that undo the step.
-  unzipt     Increase:    unzipt . map unzipt.
-  reshape    conjugated with the undoing reshapes.
+  zipt       Increase:    zipt then map zipt (zipt').
+  unzipt     Increase:    map unzipt then unzipt (unzipt').
+  otherwise  conjugate: the reshapes that undo the step, then the stage.
+
+A later step is pushed through the run its stage has become, left to right,
+until some stage consumes it (``derive_step``).  Derived programs are flat:
+a stage derived into several is named ``t_1``, ``t_2``, ...
 
 The resulting derivation records the core program (which consumes the
 transformed input), a boundary form wrapped in reshape stages so that it
@@ -39,11 +44,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import Callable, Optional, Union, get_args
 
 from .errors import DerivationError, VectxError
 from .program_ir import (
-    ComposedStage,
     ElementwiseDef,
     FnSig,
     FoldOfDef,
@@ -52,8 +56,7 @@ from .program_ir import (
     OpaqueFn,
     PrimDef,
     Program,
-    ReshapeFromStage,
-    ReshapeToStage,
+    ReshapeStage,
     Stage,
     UnziptStage,
     WrapElemDef,
@@ -245,202 +248,197 @@ class _FnTable:
 
 @dataclass(frozen=True)
 class StepResult:
-    stage: Stage
+    """The stages that replace a stage, or a run of stages, under one step;
+    the step that leaves them (``None`` once consumed); the verdict; the
+    combinators introduced; and, from ``derive_step``, the ``RULES`` names
+    applied, in order."""
+
+    stages: tuple[Stage, ...]
     out_step: Optional[Step]
     verdict: Verdict
     combinators: frozenset[str]
+    rules: tuple[str, ...] = ()
 
 
-def derive_map_step(step: Step, stage: MapStage, in_type: VecType, table: _FnTable) -> StepResult:
+def _map_increase(
+    step: Increase, stage: MapStage, in_type: VecType, table: _FnTable
+) -> StepResult:
+    fn = table[stage.fn]
+    k = step.k
+    lifted = OpaqueFn(
+        f"{fn.name}__m{k}",
+        FnSig((Vec(k, fn.sig.args[0]),), Vec(k, fn.sig.ret)),
+        ElementwiseDef(fn.name),
+    )
+    return StepResult((MapStage(table.ensure(lifted)),), step, Preserved(), frozenset())
+
+
+def _map_decrease(
+    step: Decrease, stage: MapStage, in_type: VecType, table: _FnTable
+) -> StepResult:
     fn = table[stage.fn]
     arg, ret = fn.sig.args[0], fn.sig.ret
-    if isinstance(step, Increase):
-        k = step.k
-        lifted = OpaqueFn(
-            f"{fn.name}__m{k}",
-            FnSig((Vec(k, arg),), Vec(k, ret)),
-            ElementwiseDef(fn.name),
+    k = step.k
+    if not (isinstance(arg, Vec) and arg.size == k and isinstance(ret, Vec) and ret.size == k):
+        raise DerivationError(
+            f"cannot flatten map {fn.name}: its signature is not [t]<{k}> -> [t']<{k}>"
         )
-        return StepResult(
-            MapStage(table.ensure(lifted)), Increase(k), Preserved(), frozenset()
-        )
-    if isinstance(step, Decrease):
-        k = step.k
-        if not (isinstance(arg, Vec) and arg.size == k and isinstance(ret, Vec) and ret.size == k):
-            raise DerivationError(
-                f"cannot flatten map {fn.name}: its signature is not "
-                f"[t]<{k}> -> [t']<{k}>"
-            )
-        condition = "f = map h"
-        if isinstance(fn.defn, ElementwiseDef):
-            return StepResult(
-                MapStage(fn.defn.fn),
-                Decrease(k),
-                ConditionallyPreserved(condition, True),
-                frozenset(),
-            )
-        wrapped = OpaqueFn(
-            f"{fn.name}__we{k}",
-            FnSig((arg.element,), ret.element),
-            WrapElemDef(fn.name, k),
-        )
-        return StepResult(
-            MapStage(table.ensure(wrapped)),
-            Decrease(k),
-            ConditionallyPreserved(condition, False),
-            frozenset({f"toVector {k}", f"fromVector {k}"}),
-        )
-    return _decrease_then_increase(derive_map_step, step, stage, in_type, table)
+    condition = "f = map h"
+    if isinstance(fn.defn, ElementwiseDef):
+        verdict = ConditionallyPreserved(condition, True)
+        return StepResult((MapStage(fn.defn.fn),), step, verdict, frozenset())
+    wrapped = OpaqueFn(
+        f"{fn.name}__we{k}", FnSig((arg.element,), ret.element), WrapElemDef(fn.name, k)
+    )
+    return StepResult(
+        (MapStage(table.ensure(wrapped)),),
+        step,
+        ConditionallyPreserved(condition, False),
+        frozenset({f"toVector {k}", f"fromVector {k}"}),
+    )
 
 
-def derive_fold_step(step: Step, stage: FoldStage, in_type: VecType, table: _FnTable) -> StepResult:
+def _fold_increase(
+    step: Increase, stage: FoldStage, in_type: VecType, table: _FnTable
+) -> StepResult:
     fn = table[stage.fn]
-    if len(fn.sig.args) != 2:
-        raise DerivationError(f"fold function {fn.name} must take two arguments")
     acc_t, elem_t = fn.sig.args
-    if isinstance(step, Increase):
-        k = step.k
-        folded = OpaqueFn(
-            f"{fn.name}__f{k}",
-            FnSig((acc_t, Vec(k, elem_t)), acc_t),
-            FoldOfDef(fn.name),
+    k = step.k
+    folded = OpaqueFn(
+        f"{fn.name}__f{k}", FnSig((acc_t, Vec(k, elem_t)), acc_t), FoldOfDef(fn.name)
+    )
+    return StepResult(
+        (FoldStage(table.ensure(folded), stage.acc),), None, Preserved(), frozenset()
+    )
+
+
+def _fold_decrease(
+    step: Decrease, stage: FoldStage, in_type: VecType, table: _FnTable
+) -> StepResult:
+    fn = table[stage.fn]
+    acc_t, elem_t = fn.sig.args
+    k = step.k
+    if not (isinstance(elem_t, Vec) and elem_t.size == k):
+        raise DerivationError(
+            f"cannot flatten fold {fn.name}: it does not consume [t]<{k}> chunks"
         )
-        return StepResult(
-            FoldStage(table.ensure(folded), stage.acc), None, Preserved(), frozenset()
-        )
-    if isinstance(step, Decrease):
-        k = step.k
-        if not (isinstance(elem_t, Vec) and elem_t.size == k):
-            raise DerivationError(
-                f"cannot flatten fold {fn.name}: it does not consume [t]<{k}> chunks"
-            )
-        condition = "f = foldl h"
-        if isinstance(fn.defn, FoldOfDef):
-            return StepResult(
-                FoldStage(fn.defn.fn, stage.acc),
-                None,
-                ConditionallyPreserved(condition, True),
-                frozenset(),
-            )
-        wrapped = OpaqueFn(
-            f"{fn.name}__wf{k}",
-            FnSig((acc_t, elem_t.element), acc_t),
-            WrapFoldDef(fn.name, k),
-        )
-        return StepResult(
-            FoldStage(table.ensure(wrapped), stage.acc),
-            None,
-            ConditionallyPreserved(condition, False),
-            frozenset({f"toVector {k}"}),
-        )
-    return _decrease_then_increase(derive_fold_step, step, stage, in_type, table)
+    condition = "f = foldl h"
+    if isinstance(fn.defn, FoldOfDef):
+        verdict = ConditionallyPreserved(condition, True)
+        return StepResult((FoldStage(fn.defn.fn, stage.acc),), None, verdict, frozenset())
+    wrapped = OpaqueFn(
+        f"{fn.name}__wf{k}", FnSig((acc_t, elem_t.element), acc_t), WrapFoldDef(fn.name, k)
+    )
+    return StepResult(
+        (FoldStage(table.ensure(wrapped), stage.acc),),
+        None,
+        ConditionallyPreserved(condition, False),
+        frozenset({f"toVector {k}"}),
+    )
 
 
 def _decrease_then_increase(
-    rule, step: Repartition, stage: Stage, in_type: VecType, table: _FnTable
+    step: Repartition, stage: Stage, in_type: VecType, table: _FnTable
 ) -> StepResult:
-    """A Repartition as flatten then re-chunk, each through the stage's rule.
+    """A Repartition as flatten then re-chunk, each by the stage's own rule.
     A chunk function need not work at another width, so the verdict is the
     conjunction of the two."""
-    dec = rule(Decrease(step.k), stage, in_type, table)
-    inc = rule(Increase(step.n), dec.stage, step_apply(Decrease(step.k), in_type), table)
+    kind = type(stage)
+    dec = RULES[kind, Decrease][1](Decrease(step.k), stage, in_type, table)
+    (flat,) = dec.stages
+    flat_in = step_apply(Decrease(step.k), in_type)
+    inc = RULES[kind, Increase][1](Increase(step.n), flat, flat_in, table)
     return StepResult(
-        inc.stage,
+        inc.stages,
         None if inc.out_step is None else step,
         combine_verdicts([dec.verdict, inc.verdict]),
         dec.combinators | inc.combinators,
     )
 
 
-def _realize_stages(step: Step) -> tuple[Stage, ...]:
-    """Stages that perform a step on values; those that undo it perform
-    ``invert_step(step)``."""
-    if isinstance(step, Increase):
-        return (ReshapeToStage(step.k),)
-    if isinstance(step, Decrease):
-        return (ReshapeFromStage(step.k),)
-    return (ReshapeFromStage(step.k), ReshapeToStage(step.n))
-
-
-def _conjugate(step: Step, stage: Stage) -> StepResult:
-    """Undo the input step, then run the original stage unchanged."""
-    undo = _realize_stages(invert_step(step))
+def _zipt_increase(
+    step: Increase, stage: ZiptStage, in_type: Pair, table: _FnTable
+) -> StepResult:
+    k, e1, e2 = step.k, in_type.fst.element, in_type.snd.element
+    pair_fn = OpaqueFn(
+        "ztp", FnSig((Pair(Vec(k, e1), Vec(k, e2)),), Vec(k, Pair(e1, e2))), PrimDef("zipt")
+    )
     return StepResult(
-        ComposedStage(undo + (stage,)), None, Preserved(), frozenset(map(print_stage, undo))
+        (stage, MapStage(table.ensure(pair_fn))), step, Preserved(), frozenset({"zipt'"})
     )
 
 
-def derive_zip_step(step: Step, stage: Stage, in_type: VecType, table: _FnTable) -> StepResult:
-    if isinstance(stage, ZiptStage):
-        if isinstance(step, Increase):
-            k = step.k
-            if not isinstance(in_type, Pair):
-                raise DerivationError("zipt input must be a pair")
-            e1 = in_type.fst.element
-            e2 = in_type.snd.element
-            pair_fn = OpaqueFn(
-                "ztp",
-                FnSig((Pair(Vec(k, e1), Vec(k, e2)),), Vec(k, Pair(e1, e2))),
-                PrimDef("zipt"),
-            )
-            return StepResult(
-                ComposedStage((ZiptStage(), MapStage(table.ensure(pair_fn)))),
-                Increase(k),
-                Preserved(),
-                frozenset({"zipt'"}),
-            )
-        return _conjugate(step, stage)
-    if isinstance(stage, UnziptStage):
-        if isinstance(step, Increase):
-            k = step.k
-            if not (isinstance(in_type, Vec) and isinstance(in_type.element, Pair)):
-                raise DerivationError("unzipt input must be a vector of pairs")
-            e1 = in_type.element.fst
-            e2 = in_type.element.snd
-            unpair_fn = OpaqueFn(
-                "uztp",
-                FnSig((Vec(k, Pair(e1, e2)),), Pair(Vec(k, e1), Vec(k, e2))),
-                PrimDef("unzipt"),
-            )
-            return StepResult(
-                ComposedStage((MapStage(table.ensure(unpair_fn)), UnziptStage())),
-                Increase(k),
-                Preserved(),
-                frozenset({"unzipt'"}),
-            )
-        return _conjugate(step, stage)
-    raise DerivationError(f"derive_zip_step does not handle {stage!r}")
+def _unzipt_increase(
+    step: Increase, stage: UnziptStage, in_type: Vec, table: _FnTable
+) -> StepResult:
+    k, e1, e2 = step.k, in_type.element.fst, in_type.element.snd
+    unpair_fn = OpaqueFn(
+        "uztp", FnSig((Vec(k, Pair(e1, e2)),), Pair(Vec(k, e1), Vec(k, e2))), PrimDef("unzipt")
+    )
+    return StepResult(
+        (MapStage(table.ensure(unpair_fn)), stage), step, Preserved(), frozenset({"unzipt'"})
+    )
 
 
-def _derive_one_step(step: Step, stage: Stage, in_type: VecType, table: _FnTable) -> StepResult:
-    if isinstance(stage, MapStage):
-        return derive_map_step(step, stage, in_type, table)
-    if isinstance(stage, FoldStage):
-        return derive_fold_step(step, stage, in_type, table)
-    if isinstance(stage, (ZiptStage, UnziptStage)):
-        return derive_zip_step(step, stage, in_type, table)
-    if isinstance(stage, (ReshapeToStage, ReshapeFromStage)):
-        return _conjugate(step, stage)
-    if isinstance(stage, ComposedStage):
-        cur_step: Optional[Step] = step
-        cur_in = in_type
-        subs: list[Stage] = []
-        verdicts: list[Verdict] = []
-        combos: frozenset[str] = frozenset()
-        for sub in stage.stages:
-            if cur_step is None:
-                subs.append(sub)
-            else:
-                res = _derive_one_step(cur_step, sub, cur_in, table)
-                subs.append(res.stage)
-                verdicts.append(res.verdict)
-                combos |= res.combinators
-                cur_step = res.out_step
-            cur_in = stage_output_type(sub, cur_in, table.fns)
-        return StepResult(
-            ComposedStage(tuple(subs)), cur_step, combine_verdicts(verdicts), combos
-        )
-    raise DerivationError(f"no derivation rule for stage {stage!r}")
+def _realize_stages(step: Step) -> tuple[ReshapeStage, ...]:
+    """Stages that perform a step on values; those that undo it perform
+    ``invert_step(step)``."""
+    if isinstance(step, Repartition):
+        return (ReshapeStage(Decrease(step.k)), ReshapeStage(Increase(step.n)))
+    return (ReshapeStage(step),)
+
+
+def _conjugate(step: Step, stage: Stage, in_type: VecType, table: _FnTable) -> StepResult:
+    """Undo the input step, then run the original stage unchanged."""
+    undo = _realize_stages(invert_step(step))
+    return StepResult(undo + (stage,), None, Preserved(), frozenset(map(print_stage, undo)))
+
+
+Rule = Callable[[Step, Stage, VecType, _FnTable], StepResult]
+
+# (stage kind, step kind) -> (rule name, rule): the paper's derivation rules.
+RULES: dict[tuple[type, type], tuple[str, Rule]] = {
+    **{
+        (kind, step_kind): ("conjugate", _conjugate)
+        for kind in (ZiptStage, UnziptStage, ReshapeStage)
+        for step_kind in get_args(Step)
+    },
+    (MapStage, Increase): ("map-Increase", _map_increase),
+    (MapStage, Decrease): ("map-Decrease", _map_decrease),
+    (MapStage, Repartition): ("decrease-then-increase", _decrease_then_increase),
+    (FoldStage, Increase): ("fold-Increase", _fold_increase),
+    (FoldStage, Decrease): ("fold-Decrease", _fold_decrease),
+    (FoldStage, Repartition): ("decrease-then-increase", _decrease_then_increase),
+    (ZiptStage, Increase): ("zipt'", _zipt_increase),
+    (UnziptStage, Increase): ("unzipt'", _unzipt_increase),
+}
+
+
+def derive_step(
+    step: Step, stages: tuple[Stage, ...], in_type: VecType, table: _FnTable
+) -> StepResult:
+    """Push a step through a run of stages, first to last, each rewritten by
+    its ``RULES`` entry, until one consumes it.  ``in_type`` is the run's
+    input type before the step; a later stage is typed only if the step
+    reaches it."""
+    out: list[Stage] = []
+    verdicts: list[Verdict] = []
+    combinators: frozenset[str] = frozenset()
+    rules: list[str] = []
+    for i, stage in enumerate(stages):
+        if step is None:
+            out += stages[i:]
+            break
+        if i:
+            in_type = stage_output_type(stages[i - 1], in_type, table.fns)
+        name, rule = RULES[type(stage), type(step)]
+        res = rule(step, stage, in_type, table)
+        out += res.stages
+        verdicts.append(res.verdict)
+        combinators |= res.combinators
+        rules.append(name)
+        step = res.out_step
+    return StepResult(tuple(out), step, combine_verdicts(verdicts), combinators, tuple(rules))
 
 
 # ---------------------------------------------------------------------------
@@ -449,10 +447,14 @@ def _derive_one_step(step: Step, stage: Stage, in_type: VecType, table: _FnTable
 
 @dataclass(frozen=True)
 class StageRecord:
+    """One stage of the original program: the steps that reach it and leave
+    it, its verdict, and the ``RULES`` names applied to it, in order."""
+
     name: str
     in_steps: tuple[Step, ...]
     out_steps: tuple[Step, ...]
     verdict: Verdict
+    rules: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -477,15 +479,17 @@ def derive(program: Program, tr: Transform) -> Derivation:
 
     cur_steps: list[Step] = list(input_steps)
     derived_stages: list[tuple[str, Stage]] = []
+    used = {name for name, _ in program.stages}
     records: list[StageRecord] = []
     all_verdicts: list[Verdict] = []
     combinators: set[str] = set()
 
     for (name, stage), (in_t, _out_t) in zip(program.stages, typed.stage_types):
-        cur_stage = stage
+        stages: tuple[Stage, ...] = (stage,)
         cur_in = in_t
         out_steps: list[Step] = []
         stage_verdicts: list[Verdict] = []
+        rules: list[str] = []
         for step in cur_steps:
             try:
                 next_in = step_apply(step, cur_in)
@@ -495,19 +499,29 @@ def derive(program: Program, tr: Transform) -> Derivation:
                     f"to {print_type(cur_in)}: {e}"
                 ) from e
             try:
-                res = _derive_one_step(step, cur_stage, cur_in, table)
+                res = derive_step(step, stages, cur_in, table)
             except DerivationError as e:
                 raise DerivationError(f"stage {name}: {e}") from e
-            cur_stage = res.stage
+            stages = res.stages
             cur_in = next_in
             if res.out_step is not None:
                 out_steps.append(res.out_step)
             stage_verdicts.append(res.verdict)
             combinators |= res.combinators
-        derived_stages.append((name, cur_stage))
+            rules += res.rules
+        if len(stages) == 1:
+            derived_stages.append((name, stages[0]))
+        else:  # a stage derived into several is named t_1, t_2, ...
+            derived_stages += [
+                (fresh_name(f"{name}_{i}", used), st) for i, st in enumerate(stages, start=1)
+            ]
         records.append(
             StageRecord(
-                name, tuple(cur_steps), tuple(out_steps), combine_verdicts(stage_verdicts)
+                name,
+                tuple(cur_steps),
+                tuple(out_steps),
+                combine_verdicts(stage_verdicts),
+                tuple(rules),
             )
         )
         all_verdicts.extend(stage_verdicts)
@@ -534,7 +548,6 @@ def derive(program: Program, tr: Transform) -> Derivation:
             f"does not match transformed original {print_type(expected_result)}"
         )
 
-    used = {name for name, _ in derived_stages}
     pre: list[tuple[str, Stage]] = []
     for i, step in enumerate(input_steps, start=1):
         for st in _realize_stages(step):

@@ -48,6 +48,11 @@ class AtomMismatchError(VectxError):
     """Raised when two types that must share a leaf element do not."""
 
 
+class PairMismatchError(VectxError):
+    """Raised when a pair type meets a vector type, or when the two components
+    of a pair need different reshapes."""
+
+
 class LengthMismatchError(VectxError):
     """Raised when paired vectors have different lengths."""
 

@@ -112,29 +112,20 @@ class UnziptStage:
 
 
 @dataclass(frozen=True)
-class ReshapeToStage:
-    k: int
+class ReshapeStage:
+    """``reshapeTo k`` holds ``Increase(k)`` and ``reshapeFrom k``
+    ``Decrease(k)``: the step types the stage and runs it on values."""
+
+    step: Union[Increase, Decrease]
 
 
-@dataclass(frozen=True)
-class ReshapeFromStage:
-    k: int
-
-
+# Not a stage: only perfbench/run.py reads this name, and nothing builds one.
 @dataclass(frozen=True)
 class ComposedStage:
     stages: tuple["Stage", ...]
 
 
-Stage = Union[
-    MapStage,
-    FoldStage,
-    ZiptStage,
-    UnziptStage,
-    ReshapeToStage,
-    ReshapeFromStage,
-    ComposedStage,
-]
+Stage = Union[MapStage, FoldStage, ZiptStage, UnziptStage, ReshapeStage]
 
 
 @dataclass(frozen=True)
@@ -161,7 +152,9 @@ def _fail(stage: str, msg: str):
     raise StageTypeError(f"stage {stage}: {msg}")
 
 
-def stage_output_type(stage: Stage, t: VecType, fns: dict[str, OpaqueFn], name: str = "?") -> VecType:
+def stage_output_type(
+    stage: Stage, t: VecType, fns: dict[str, OpaqueFn], name: str = "?"
+) -> VecType:
     """Output type of one stage applied at input type t."""
     if isinstance(stage, MapStage):
         fn = fns[stage.fn]
@@ -211,16 +204,11 @@ def stage_output_type(stage: Stage, t: VecType, fns: dict[str, OpaqueFn], name: 
         if not isinstance(t, Vec) or not isinstance(t.element, Pair):
             _fail(name, f"unzipt needs a vector of pairs, got {print_type(t)}")
         return Pair(Vec(t.size, t.element.fst), Vec(t.size, t.element.snd))
-    if isinstance(stage, (ReshapeToStage, ReshapeFromStage)):
-        step = Increase(stage.k) if isinstance(stage, ReshapeToStage) else Decrease(stage.k)
+    if isinstance(stage, ReshapeStage):
         try:
-            return step_apply(step, t)
+            return step_apply(stage.step, t)
         except VectxError as e:
             _fail(name, f"{print_stage(stage)}: {e}")
-    if isinstance(stage, ComposedStage):
-        for sub in stage.stages:
-            t = stage_output_type(sub, t, fns, name)
-        return t
     raise TypeError(f"unknown stage {stage!r}")
 
 
@@ -353,7 +341,7 @@ def _parse_stage(rest: str, fns: dict[str, OpaqueFn], line_no: int) -> Stage:
         return UnziptStage()
     if kind in ("reshapeTo", "reshapeFrom"):
         k = _parse_size(arg, kind, line_no)
-        return ReshapeToStage(k) if kind == "reshapeTo" else ReshapeFromStage(k)
+        return ReshapeStage(Increase(k) if kind == "reshapeTo" else Decrease(k))
     raise ParseError(f"unknown stage kind {kind!r}", line=line_no)
 
 
@@ -512,11 +500,10 @@ def print_stage(s: Stage) -> str:
         return "zipt"
     if isinstance(s, UnziptStage):
         return "unzipt"
-    if isinstance(s, ReshapeToStage):
-        return f"reshapeTo {s.k}"
-    if isinstance(s, ReshapeFromStage):
-        return f"reshapeFrom {s.k}"
-    raise TypeError(f"composed stages must be flattened before printing: {s!r}")
+    if isinstance(s, ReshapeStage):
+        kind = "reshapeTo" if isinstance(s.step, Increase) else "reshapeFrom"
+        return f"{kind} {s.step.k}"
+    raise TypeError(f"unknown stage {s!r}")
 
 
 def fresh_name(base: str, used: set[str]) -> str:
@@ -529,33 +516,7 @@ def fresh_name(base: str, used: set[str]) -> str:
     return name
 
 
-def flatten_composed(program: Program) -> Program:
-    """Split composed stages, at every depth, into consecutive named stages
-    for printing.  The parts of a stage ``t`` are named ``t_1``, ``t_2``, …,
-    made fresh against every stage name in the program."""
-    out = []
-    used = {name for name, _ in program.stages}
-
-    def add(name: str, stage: Stage):
-        if isinstance(stage, ComposedStage):
-            for i, sub in enumerate(stage.stages, start=1):
-                add(fresh_name(f"{name}_{i}", used), sub)
-        else:
-            out.append((name, stage))
-
-    for name, stage in program.stages:
-        add(name, stage)
-    return Program(
-        program.input_name,
-        program.input_type,
-        program.fns,
-        tuple(out),
-        program.result_name,
-    )
-
-
 def print_program(program: Program) -> str:
-    program = flatten_composed(program)
     lines = [f"input {program.input_name} :: {print_type(program.input_type)}"]
     for fn in program.fns.values():
         sig = " -> ".join(print_type(t) for t in (*fn.sig.args, fn.sig.ret))

@@ -12,12 +12,10 @@ A value reshape is "flatten the leaves, rebuild at the target type".  ``S``,
 ``R`` and ``M`` re-partition the ordered leaves without reordering them, so
 ``apply_transform_value`` reads the sizes of a value, takes the target sizes
 from ``type_algebra.apply_transform`` and regroups the same leaves at them.
-It is the one value-level reshape: ``reshape_to``/``reshape_from`` are the
-``Increase``/``Decrease`` steps run through it, and the reshape stages of a
-program are typed by the same steps (``program_ir.stage_output_type``).
-There is no per-operation value interpreter and no reshape arithmetic in the
-stage typing: ``type_algebra`` is the only statement of what each operation
-does.
+It is the one value-level reshape: ``reshape_to``/``reshape_from`` and the
+``reshapeTo``/``reshapeFrom`` stages run their ``Increase``/``Decrease`` step
+through it (``_step_fn``).  There is no per-operation value interpreter:
+``type_algebra`` is the only statement of what each operation does.
 
 ``V`` is type-level only: replication and projection are not reshapes.  The
 ``to_vector``/``from_vector`` combinators replicate and project for the
@@ -444,14 +442,12 @@ def compile_program(program) -> Callable[[Value], Value]:
     with the wrong number of arguments) becomes a closure that raises its
     error when evaluation reaches it, and not before."""
     from .program_ir import (
-        ComposedStage,
         ElementwiseDef,
         FoldOfDef,
         FoldStage,
         MapStage,
         PrimDef,
-        ReshapeFromStage,
-        ReshapeToStage,
+        ReshapeStage,
         UnziptStage,
         WrapElemDef,
         WrapFoldDef,
@@ -483,7 +479,8 @@ def compile_program(program) -> Callable[[Value], Value]:
         """A function's arity and closure; ``None`` when every call fails."""
         d = fn.defn
         if d is None:
-            return None, _raises(MissingPrimitiveError, f"function {fn.name} has no executable body")
+            message = f"function {fn.name} has no executable body"
+            return None, _raises(MissingPrimitiveError, message)
         if isinstance(d, PrimDef):
             if d.prim not in PRIMITIVES:
                 return None, _raises(MissingPrimitiveError, f"unknown primitive {d.prim!r}")
@@ -522,12 +519,8 @@ def compile_program(program) -> Callable[[Value], Value]:
             return zipt
         if isinstance(s, UnziptStage):
             return unzipt
-        if isinstance(s, ReshapeToStage):
-            return _step_fn(Increase(s.k))
-        if isinstance(s, ReshapeFromStage):
-            return _step_fn(Decrease(s.k))
-        if isinstance(s, ComposedStage):
-            return _chain([stage(sub) for sub in s.stages])
+        if isinstance(s, ReshapeStage):
+            return _step_fn(s.step)
         return _raises(TypeError, f"unknown stage {s!r}")
 
     run = _chain([stage(s) for _, s in program.stages])
@@ -560,7 +553,9 @@ def _map_levels(h: Callable[[Value], Value], levels: int) -> Callable[[Value], V
     return run
 
 
-def _fold_levels(h: Callable[[Value, Value], Value], levels: int) -> Callable[[Value, Value], Value]:
+def _fold_levels(
+    h: Callable[[Value, Value], Value], levels: int
+) -> Callable[[Value, Value], Value]:
     """``acc, v -> foldl h acc nodes`` over the nodes ``levels`` vector levels
     down in ``v``: ``foldof`` nested in a fold is a fold of the flat nodes,
     since ``S``, ``R`` and ``M`` never reorder leaves.  A checked primitive

@@ -41,6 +41,7 @@ from .errors import (
     AtomMismatchError,
     DimensionError,
     DivisibilityError,
+    PairMismatchError,
     ParseError,
     ShapeError,
     SizeMismatchError,
@@ -340,8 +341,23 @@ def canonicalize(t: VecType) -> tuple[Transform, VecType]:
 def path_between(t1: VecType, t2: VecType) -> Transform:
     """A transform carrying t1 to t2: flatten t1, then rebuild t2.
 
-    Both types must have the same total size and the same leaf element.
+    Both types must have the same total size and the same leaf element.  Two
+    pairs are carried component by component, and as ``apply_transform``
+    transforms both components alike, the two paths must be the same.
     """
+    if isinstance(t1, Pair) and isinstance(t2, Pair):
+        path = path_between(t1.fst, t2.fst)
+        if path != path_between(t1.snd, t2.snd):
+            raise PairMismatchError(
+                f"the components of a pair need different reshapes: first "
+                f"{print_type(t1.fst)} to {print_type(t2.fst)}, second "
+                f"{print_type(t1.snd)} to {print_type(t2.snd)}"
+            )
+        return path
+    if isinstance(t1, Pair) or isinstance(t2, Pair):
+        raise PairMismatchError(
+            f"no reshape between a pair and a vector: {print_type(t1)} and {print_type(t2)}"
+        )
     if total_size(t1) != total_size(t2):
         raise SizeMismatchError(
             f"total sizes differ: {print_type(t1)} has {total_size(t1)}, "

@@ -17,6 +17,9 @@ from vectx.type_algebra import (
     Unwrap,
     Vec,
     Wrap,
+    dims_of,
+    from_dims,
+    print_type,
 )
 
 
@@ -43,6 +46,48 @@ def random_type(rng: random.Random, n: int, max_dims: int = 4, atom: str = "a"):
     for size in random_factorization(rng, n, max_dims):
         t = Vec(size, t)
     return t
+
+
+def random_program_text(rng: random.Random, n: int, stages: int = 3) -> str:
+    """A pipeline over a vector of total size n: ``reshapeTo``/``reshapeFrom``
+    stages, maps, and perhaps a fold that ends it.  A map or fold function is
+    a scalar primitive lifted to the element type by ``elementwise``/
+    ``foldof``, or an opaque ``reverse``/``add_head`` of a vector of leaves."""
+    t = random_type(rng, n, max_dims=3)
+    lines = [f"input s :: {print_type(t)}"]
+    names = []
+    for i in range(1, stages + 1):
+        names.append(f"s{i}")
+        kinds = ["map", "map", "reshapeTo"] + ["reshapeFrom"] * isinstance(t.element, Vec)
+        kind = rng.choice(kinds + ["foldl"] * (i == stages))
+        if kind == "reshapeTo":
+            k = rng.choice(divisors(t.size))
+            lines.append(f"stage s{i} = reshapeTo {k}")
+            t = Vec(t.size // k, Vec(k, t.element))
+            continue
+        if kind == "reshapeFrom":
+            lines.append(f"stage s{i} = reshapeFrom {t.element.size}")
+            t = Vec(t.size * t.element.size, t.element.element)
+            continue
+        fold = kind == "foldl"
+        acc = "a -> " if fold else ""
+        dims = dims_of(t.element)
+        if len(dims) == 1 and rng.random() < 0.3:
+            fn, e = f"f{i}", print_type(t.element)
+            prim = "add_head" if fold else "reverse"
+            ret = "a" if fold else e
+            lines += [f"fn {fn} :: {acc}{e} -> {ret}", f"fn {fn} = prim {prim}"]
+        else:  # f{i}_0 is the primitive, f{i}_j lifts f{i}_{j-1} one level
+            prim = rng.choice(["add", "dec_shift"] if fold else ["add1", "negate"])
+            lift = "foldof" if fold else "elementwise"
+            for j in range(len(dims) + 1):
+                e = print_type(from_dims(Atom("a"), dims[:j]))
+                ret = "a" if fold else e
+                body = f"{lift} f{i}_{j - 1}" if j else f"prim {prim}"
+                lines += [f"fn f{i}_{j} :: {acc}{e} -> {ret}", f"fn f{i}_{j} = {body}"]
+            fn = f"f{i}_{len(dims)}"
+        lines.append(f"stage s{i} = foldl {fn} 0" if fold else f"stage s{i} = map {fn}")
+    return "\n".join(lines + [f"result r = {' |> '.join(names)} s"]) + "\n"
 
 
 def random_structural_transform(rng: random.Random, depth: int = 0) -> Transform:

@@ -1,9 +1,11 @@
 import random
+from typing import get_args
 
 import pytest
 
-from gen import flatten, random_type
+from gen import flatten, random_factorization, random_program_text, random_type
 from vectx.derivation import (
+    RULES,
     ConditionallyPreserved,
     Decrease,
     Derivation,
@@ -12,9 +14,7 @@ from vectx.derivation import (
     Repartition,
     _FnTable,
     derive,
-    derive_fold_step,
-    derive_map_step,
-    derive_zip_step,
+    derive_step,
     expects_preservation,
     factor_transform,
     step_apply,
@@ -23,12 +23,11 @@ from vectx.derivation import (
 )
 from vectx.errors import DerivationError, ShapeError
 from vectx.program_ir import (
-    ComposedStage,
     ElementwiseDef,
     FoldStage,
     MapStage,
-    ReshapeFromStage,
-    ReshapeToStage,
+    ReshapeStage,
+    Stage,
     WrapElemDef,
     ZiptStage,
     parse_program,
@@ -44,10 +43,15 @@ from vectx.runtime import (
     zipt,
 )
 from vectx.type_algebra import (
+    Atom,
+    Pair,
+    Step,
     apply_transform,
+    from_dims,
     parse_transform,
     parse_type,
     path_between,
+    print_type,
 )
 
 # -- factoring -----------------------------------------------------------------
@@ -152,14 +156,41 @@ result r = z s
 """
 
 
+def zip_swap_program(dims) -> str:
+    """``zipt |> map swap |> unzipt`` over a pair of vectors of sizes dims."""
+    a, b = (print_type(from_dims(Atom(x), dims[:-1])) for x in "ab")
+    return (
+        f"input s :: ({print_type(from_dims(Atom('a'), dims))},"
+        f"{print_type(from_dims(Atom('b'), dims))})\n"
+        f"fn f :: ({a},{b}) -> ({b},{a})\nfn f = prim swap\n"
+        "stage z = zipt\nstage m = map f\nstage u = unzipt\nresult r = z |> m |> u s\n"
+    )
+
+
+# -- the rule table ---------------------------------------------------------------
+
+
+def test_rules_cover_every_stage_and_step_kind():
+    assert set(RULES) == {(kind, step) for kind in get_args(Stage) for step in get_args(Step)}
+
+
+def test_stage_records_name_the_rules_applied():
+    d = derive(parse_program(zip_swap_program((4,))), parse_transform("R 2 M ( S )"))
+    assert [r.rules for r in d.stage_records] == [("zipt'",), ("map-Increase",), ("unzipt'",)]
+    p = parse_program(CHUNKED_MAP_OPAQUE)
+    d = derive(p, path_between(p.input_type, parse_type("[a]<6><2>")))
+    assert d.input_steps == (Repartition(6, 3),)
+    assert [r.rules for r in d.stage_records] == [("decrease-then-increase",)]
+
+
 # -- map rules -------------------------------------------------------------------
 
 
 def test_map_increase_lifts_function():
     p = map_program(6)
     table = _FnTable(p.fns)
-    res = derive_map_step(Increase(2), p.stages[0][1], p.input_type, table)
-    assert res.stage == MapStage("f__m2")
+    res = derive_step(Increase(2), (p.stages[0][1],), p.input_type, table)
+    assert res.stages == (MapStage("f__m2"),)
     assert table["f__m2"].defn == ElementwiseDef("f")
     assert res.verdict == Preserved()
     assert res.out_step == Increase(2)
@@ -168,16 +199,16 @@ def test_map_increase_lifts_function():
 def test_map_decrease_with_annotation_uses_element_function():
     p = parse_program(CHUNKED_MAP)
     table = _FnTable(p.fns)
-    res = derive_map_step(Decrease(3), p.stages[0][1], p.input_type, table)
-    assert res.stage == MapStage("h")
+    res = derive_step(Decrease(3), (p.stages[0][1],), p.input_type, table)
+    assert res.stages == (MapStage("h"),)
     assert res.verdict == ConditionallyPreserved("f = map h", True)
 
 
 def test_map_decrease_without_annotation_wraps():
     p = parse_program(CHUNKED_MAP_OPAQUE)
     table = _FnTable(p.fns)
-    res = derive_map_step(Decrease(3), p.stages[0][1], p.input_type, table)
-    assert res.stage == MapStage("f__we3")
+    res = derive_step(Decrease(3), (p.stages[0][1],), p.input_type, table)
+    assert res.stages == (MapStage("f__we3"),)
     assert table["f__we3"].defn == WrapElemDef("f", 3)
     assert res.verdict == ConditionallyPreserved("f = map h", False)
     assert res.combinators == frozenset({"toVector 3", "fromVector 3"})
@@ -189,7 +220,7 @@ def test_map_repartition_reuses_function():
     target = parse_type("[a]<6><2>")
     p = parse_program(CHUNKED_MAP_OPAQUE)
     table = _FnTable(p.fns)
-    res = derive_map_step(Repartition(6, 3), p.stages[0][1], p.input_type, table)
+    res = derive_step(Repartition(6, 3), (p.stages[0][1],), p.input_type, table)
     assert res.verdict == ConditionallyPreserved("f = map h", False)
     d = derive(p, path_between(p.input_type, target))
     assert d.input_steps == (Repartition(6, 3),)
@@ -205,7 +236,7 @@ def test_map_decrease_signature_mismatch():
     p = map_program(6)
     table = _FnTable(p.fns)
     with pytest.raises(DerivationError):
-        derive_map_step(Decrease(2), p.stages[0][1], p.input_type, table)
+        derive_step(Decrease(2), (p.stages[0][1],), p.input_type, table)
 
 
 # -- fold rules -------------------------------------------------------------------
@@ -214,8 +245,8 @@ def test_map_decrease_signature_mismatch():
 def test_fold_increase_folds_the_fold():
     p = parse_program(FLAT_FOLD)
     table = _FnTable(p.fns)
-    res = derive_fold_step(Increase(2), p.stages[0][1], p.input_type, table)
-    assert res.stage == FoldStage("f__f2", 0)
+    res = derive_step(Increase(2), (p.stages[0][1],), p.input_type, table)
+    assert res.stages == (FoldStage("f__f2", 0),)
     assert res.out_step is None
     assert res.verdict == Preserved()
 
@@ -223,24 +254,24 @@ def test_fold_increase_folds_the_fold():
 def test_fold_decrease_with_annotation():
     p = parse_program(CHUNKED_FOLD)
     table = _FnTable(p.fns)
-    res = derive_fold_step(Decrease(3), p.stages[0][1], p.input_type, table)
-    assert res.stage == FoldStage("h", 0)
+    res = derive_step(Decrease(3), (p.stages[0][1],), p.input_type, table)
+    assert res.stages == (FoldStage("h", 0),)
     assert res.verdict == ConditionallyPreserved("f = foldl h", True)
 
 
 def test_fold_decrease_without_annotation():
     p = parse_program(CHUNKED_FOLD_OPAQUE)
     table = _FnTable(p.fns)
-    res = derive_fold_step(Decrease(3), p.stages[0][1], p.input_type, table)
-    assert res.stage == FoldStage("f__wf3", 0)
+    res = derive_step(Decrease(3), (p.stages[0][1],), p.input_type, table)
+    assert res.stages == (FoldStage("f__wf3", 0),)
     assert res.verdict == ConditionallyPreserved("f = foldl h", False)
 
 
 def test_fold_repartition_is_decrease_then_increase():
     p = parse_program(CHUNKED_FOLD)
     table = _FnTable(p.fns)
-    res = derive_fold_step(Repartition(6, 3), p.stages[0][1], p.input_type, table)
-    assert res.stage == FoldStage("h__f6", 0)
+    res = derive_step(Repartition(6, 3), (p.stages[0][1],), p.input_type, table)
+    assert res.stages == (FoldStage("h__f6", 0),)
     assert res.verdict == ConditionallyPreserved("f = foldl h", True)
 
 
@@ -250,8 +281,8 @@ def test_fold_repartition_is_decrease_then_increase():
 def test_zip_increase_is_map_zipt_after_zipt():
     p = parse_program(ZIP_PROGRAM)
     table = _FnTable(p.fns)
-    res = derive_zip_step(Increase(2), p.stages[0][1], p.input_type, table)
-    assert res.stage == ComposedStage((ZiptStage(), MapStage("ztp")))
+    res = derive_step(Increase(2), (p.stages[0][1],), p.input_type, table)
+    assert res.stages == (ZiptStage(), MapStage("ztp"))
     assert res.verdict == Preserved()
     assert res.combinators == frozenset({"zipt'"})
 
@@ -288,6 +319,15 @@ result r = z |> m |> u s
     assert rep.failures == 0 and rep.passes == 100
 
 
+def test_zip_derives_from_a_pair_path():
+    p = parse_program(ZIP_PROGRAM.replace("<4>", "<8>"))
+    tr = path_between(p.input_type, parse_type("([a]<2><4>,[b]<2><4>)"))
+    d = derive(p, tr)
+    assert d.input_steps == (Increase(2),)
+    assert [st for _, st in d.derived.stages] == [ZiptStage(), MapStage("ztp")]
+    assert verify(d, trials=20, seed=6).failures == 0
+
+
 def test_zip_mismatched_component_transforms_rejected():
     p = parse_program(
         "input s :: ([a]<4>,[[b]<2>]<4>)\nstage z = zipt\nresult r = z s\n"
@@ -306,7 +346,7 @@ def test_derive_map_increase_end_to_end():
     assert d.derived.input_type == parse_type("[[a]<4>]<2>")
     assert d.derived.stages == (("g", MapStage("f__m4")),)
     kinds = [stage for _, stage in d.boundary.stages]
-    assert kinds == [ReshapeToStage(4), MapStage("f__m4"), ReshapeFromStage(4)]
+    assert kinds == [ReshapeStage(Increase(4)), MapStage("f__m4"), ReshapeStage(Decrease(4))]
     text = print_program(d.boundary)
     assert "reshapeTo 4" in text and "reshapeFrom 4" in text
     assert {"reshapeTo 4", "reshapeFrom 4"} <= set(d.combinators)
@@ -403,6 +443,25 @@ def test_derived_program_round_trips_through_text():
     text = print_program(d.derived)
     assert parse_program(text) == d.derived
     assert "wrapelem f 3" in text
+
+
+def test_printed_programs_parse_back_equal():
+    rng = random.Random(19)
+    programs = []
+    for _ in range(120):
+        n = rng.choice([8, 12, 16, 24])
+        p = parse_program(random_program_text(rng, n))
+        programs.append((p, path_between(p.input_type, random_type(rng, n, max_dims=3))))
+    for _ in range(40):
+        n = rng.choice([8, 12, 16])
+        dims, target = random_factorization(rng, n, 3), random_factorization(rng, n, 3)
+        p = parse_program(zip_swap_program(dims))
+        pair = Pair(from_dims(Atom("a"), target), from_dims(Atom("b"), target))
+        programs.append((p, path_between(p.input_type, pair)))
+    for p, tr in programs:
+        d = derive(p, tr)
+        for q in (d.derived, d.boundary):
+            assert parse_program(print_program(q)) == q
 
 
 def test_derivation_type_invariants():

@@ -15,6 +15,7 @@ from vectx.errors import (
     AtomMismatchError,
     DimensionError,
     DivisibilityError,
+    PairMismatchError,
     ParseError,
     ShapeError,
     SizeMismatchError,
@@ -244,6 +245,24 @@ def test_path_between_size_mismatch():
 def test_path_between_atom_mismatch():
     with pytest.raises(AtomMismatchError):
         path_between(T("[a]<6>"), T("[b]<6>"))
+
+
+def test_path_between_pairs_takes_the_common_component_path():
+    t1, t2 = T("([a]<8>,[b]<8>)"), T("([a]<2><4>,[b]<2><4>)")
+    tr = path_between(t1, t2)
+    assert tr == path_between(T("[a]<8>"), T("[a]<2><4>"))
+    assert apply_transform(tr, t1) == t2
+
+
+def test_path_between_pair_and_vector_is_a_pair_mismatch():
+    for t1, t2 in [("([a]<8>,[b]<8>)", "[(a,b)]<8>"), ("[(a,b)]<8>", "([a]<8>,[b]<8>)")]:
+        with pytest.raises(PairMismatchError, match="between a pair and a vector"):
+            path_between(T(t1), T(t2))
+
+
+def test_path_between_pair_components_need_one_path():
+    with pytest.raises(PairMismatchError, match=r"first \[a\]<8> to \[a\]<2><4>, second"):
+        path_between(T("([a]<8>,[b]<8>)"), T("([a]<2><4>,[b]<4><2>)"))
 
 
 # -- parse / print -----------------------------------------------------------
