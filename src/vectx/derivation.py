@@ -3,11 +3,13 @@
 An input transform is first factored into canonical steps (defined in
 ``type_algebra``), each acting on the outer dimensions of the current type:
 
-    Increase(k)        [t]<N>      -> [[t]<k>]<N/k>     (chunk into k-groups)
-    Decrease(k)        [[t]<k>]<m> -> [t]<k*m>          (flatten one level)
-    Repartition(n, k)  [[t]<k>]<m> -> [[t]<n>]<k*m/n>   (re-chunk)
+    Increase(k)   [t]<N>      -> [[t]<k>]<N/k>   (chunk into k-groups)
+    Decrease(k)   [[t]<k>]<m> -> [t]<k*m>        (flatten one level)
 
-A transform that uses ``V`` is not a reshape and is rejected.
+The steps flatten the source's outer levels and then chunk towards the
+target's, cancelling each level the two share, so a re-chunk of
+``[[t]<k>]<m>`` to ``[[t]<n>]<k*m/n>`` is the two steps Decrease(k),
+Increase(n).  A transform that uses ``V`` is not a reshape and is rejected.
 
 Each step is then pushed through the pipeline one stage at a time.  A stage
 consumes the steps arriving at its input and emits the steps describing how
@@ -19,15 +21,18 @@ stage into a short run of stages:
              Decrease:    f' = head . f . replicate, preserved only when
                           f is declared elementwise (then f' is just the
                           declared element function).
-             Repartition: decrease then increase.
   foldl f    Increase:    fold the fold over each chunk, always preserved.
              Decrease:    f' acc x = f acc (replicate k x), preserved only
                           when f is a declared fold (then f' is the declared
                           step function).
-             Repartition: decrease then increase.
   zipt       Increase:    zipt then map zipt (zipt').
   unzipt     Increase:    map unzipt then unzipt (unzipt').
-  otherwise  conjugate: the reshapes that undo the step, then the stage.
+  otherwise  conjugate: the reshape that undoes the step, then the stage.
+
+A re-chunk reaches a ``map`` or ``foldl`` as two steps and takes the
+Decrease rule and then the Increase rule, so its verdict is the two
+verdicts combined: a chunk function reused at another width is preserved
+only under the Decrease rule's condition.
 
 A later step is pushed through the run its stage has become, left to right,
 until some stage consumes it (``derive_step``).  Derived programs are flat:
@@ -49,6 +54,7 @@ from typing import Callable, Optional, Union, get_args
 from .errors import DerivationError, VectxError
 from .program_ir import (
     ElementwiseDef,
+    FnDef,
     FnSig,
     FoldOfDef,
     FoldStage,
@@ -62,6 +68,7 @@ from .program_ir import (
     WrapElemDef,
     WrapFoldDef,
     ZiptStage,
+    defn_sig,
     fresh_name,
     print_stage,
     stage_output_type,
@@ -70,7 +77,7 @@ from .program_ir import (
 from .runtime import (
     Value,
     apply_transform_value,
-    eval_program,
+    compile_program,
     random_value,
 )
 from .type_algebra import (
@@ -78,7 +85,6 @@ from .type_algebra import (
     Decrease,
     Increase,
     Pair,
-    Repartition,
     Step,
     Transform,
     Vec,
@@ -112,15 +118,10 @@ def steps_to_transform(steps) -> Transform:
 def _steps_between_dims(src: tuple[int, ...], tgt: tuple[int, ...]) -> list[Step]:
     down = [Decrease(d) for d in reversed(src[:-1])]
     up = [Increase(d) for d in tgt[:-1]]
-    middle: list[Step] = []
-    while down and up:
-        k, n = down[-1].k, up[0].k
+    while down and up and down[-1].k == up[0].k:  # a level both types share
         down.pop()
         up.pop(0)
-        if k != n:
-            middle = [Repartition(n, k)]
-            break
-    return down + middle + up
+    return down + up
 
 
 def factor_transform(tr: Transform, t: VecType) -> tuple[Step, ...]:
@@ -210,13 +211,6 @@ def expects_preservation(v: Verdict) -> bool:
     )
 
 
-def print_verdict(v: Verdict) -> str:
-    if isinstance(v, Preserved):
-        return "Preserved"
-    state = "satisfied" if v.satisfied else "unsatisfied"
-    return f"ConditionallyPreserved({v.condition}; {state})"
-
-
 # ---------------------------------------------------------------------------
 # Function table for derived programs
 
@@ -260,15 +254,25 @@ class StepResult:
     rules: tuple[str, ...] = ()
 
 
+def _define(name: str, defn: FnDef, fn: OpaqueFn, k: int, error: str) -> OpaqueFn:
+    """The function ``name = defn`` over fn, typed by ``defn_sig`` at width
+    k; a ``DerivationError`` saying ``error`` when fn does not fit."""
+    sig = defn_sig(defn, fn.sig, k)
+    if sig is None:
+        raise DerivationError(error)
+    return OpaqueFn(name, sig, defn)
+
+
 def _map_increase(
     step: Increase, stage: MapStage, in_type: VecType, table: _FnTable
 ) -> StepResult:
-    fn = table[stage.fn]
-    k = step.k
-    lifted = OpaqueFn(
+    fn, k = table[stage.fn], step.k
+    lifted = _define(
         f"{fn.name}__m{k}",
-        FnSig((Vec(k, fn.sig.args[0]),), Vec(k, fn.sig.ret)),
         ElementwiseDef(fn.name),
+        fn,
+        k,
+        f"cannot lift map {fn.name}: it does not take one argument",
     )
     return StepResult((MapStage(table.ensure(lifted)),), step, Preserved(), frozenset())
 
@@ -276,20 +280,18 @@ def _map_increase(
 def _map_decrease(
     step: Decrease, stage: MapStage, in_type: VecType, table: _FnTable
 ) -> StepResult:
-    fn = table[stage.fn]
-    arg, ret = fn.sig.args[0], fn.sig.ret
-    k = step.k
-    if not (isinstance(arg, Vec) and arg.size == k and isinstance(ret, Vec) and ret.size == k):
-        raise DerivationError(
-            f"cannot flatten map {fn.name}: its signature is not [t]<{k}> -> [t']<{k}>"
-        )
+    fn, k = table[stage.fn], step.k
+    wrapped = _define(
+        f"{fn.name}__we{k}",
+        WrapElemDef(fn.name, k),
+        fn,
+        k,
+        f"cannot flatten map {fn.name}: its signature is not [t]<{k}> -> [t']<{k}>",
+    )
     condition = "f = map h"
     if isinstance(fn.defn, ElementwiseDef):
         verdict = ConditionallyPreserved(condition, True)
         return StepResult((MapStage(fn.defn.fn),), step, verdict, frozenset())
-    wrapped = OpaqueFn(
-        f"{fn.name}__we{k}", FnSig((arg.element,), ret.element), WrapElemDef(fn.name, k)
-    )
     return StepResult(
         (MapStage(table.ensure(wrapped)),),
         step,
@@ -301,11 +303,13 @@ def _map_decrease(
 def _fold_increase(
     step: Increase, stage: FoldStage, in_type: VecType, table: _FnTable
 ) -> StepResult:
-    fn = table[stage.fn]
-    acc_t, elem_t = fn.sig.args
-    k = step.k
-    folded = OpaqueFn(
-        f"{fn.name}__f{k}", FnSig((acc_t, Vec(k, elem_t)), acc_t), FoldOfDef(fn.name)
+    fn, k = table[stage.fn], step.k
+    folded = _define(
+        f"{fn.name}__f{k}",
+        FoldOfDef(fn.name),
+        fn,
+        k,
+        f"cannot chunk fold {fn.name}: its signature is not b -> t -> b",
     )
     return StepResult(
         (FoldStage(table.ensure(folded), stage.acc),), None, Preserved(), frozenset()
@@ -315,44 +319,23 @@ def _fold_increase(
 def _fold_decrease(
     step: Decrease, stage: FoldStage, in_type: VecType, table: _FnTable
 ) -> StepResult:
-    fn = table[stage.fn]
-    acc_t, elem_t = fn.sig.args
-    k = step.k
-    if not (isinstance(elem_t, Vec) and elem_t.size == k):
-        raise DerivationError(
-            f"cannot flatten fold {fn.name}: it does not consume [t]<{k}> chunks"
-        )
+    fn, k = table[stage.fn], step.k
+    wrapped = _define(
+        f"{fn.name}__wf{k}",
+        WrapFoldDef(fn.name, k),
+        fn,
+        k,
+        f"cannot flatten fold {fn.name}: it does not consume [t]<{k}> chunks",
+    )
     condition = "f = foldl h"
     if isinstance(fn.defn, FoldOfDef):
         verdict = ConditionallyPreserved(condition, True)
         return StepResult((FoldStage(fn.defn.fn, stage.acc),), None, verdict, frozenset())
-    wrapped = OpaqueFn(
-        f"{fn.name}__wf{k}", FnSig((acc_t, elem_t.element), acc_t), WrapFoldDef(fn.name, k)
-    )
     return StepResult(
         (FoldStage(table.ensure(wrapped), stage.acc),),
         None,
         ConditionallyPreserved(condition, False),
         frozenset({f"toVector {k}"}),
-    )
-
-
-def _decrease_then_increase(
-    step: Repartition, stage: Stage, in_type: VecType, table: _FnTable
-) -> StepResult:
-    """A Repartition as flatten then re-chunk, each by the stage's own rule.
-    A chunk function need not work at another width, so the verdict is the
-    conjunction of the two."""
-    kind = type(stage)
-    dec = RULES[kind, Decrease][1](Decrease(step.k), stage, in_type, table)
-    (flat,) = dec.stages
-    flat_in = step_apply(Decrease(step.k), in_type)
-    inc = RULES[kind, Increase][1](Increase(step.n), flat, flat_in, table)
-    return StepResult(
-        inc.stages,
-        None if inc.out_step is None else step,
-        combine_verdicts([dec.verdict, inc.verdict]),
-        dec.combinators | inc.combinators,
     )
 
 
@@ -380,18 +363,10 @@ def _unzipt_increase(
     )
 
 
-def _realize_stages(step: Step) -> tuple[ReshapeStage, ...]:
-    """Stages that perform a step on values; those that undo it perform
-    ``invert_step(step)``."""
-    if isinstance(step, Repartition):
-        return (ReshapeStage(Decrease(step.k)), ReshapeStage(Increase(step.n)))
-    return (ReshapeStage(step),)
-
-
 def _conjugate(step: Step, stage: Stage, in_type: VecType, table: _FnTable) -> StepResult:
     """Undo the input step, then run the original stage unchanged."""
-    undo = _realize_stages(invert_step(step))
-    return StepResult(undo + (stage,), None, Preserved(), frozenset(map(print_stage, undo)))
+    undo = ReshapeStage(invert_step(step))
+    return StepResult((undo, stage), None, Preserved(), frozenset({print_stage(undo)}))
 
 
 Rule = Callable[[Step, Stage, VecType, _FnTable], StepResult]
@@ -405,10 +380,8 @@ RULES: dict[tuple[type, type], tuple[str, Rule]] = {
     },
     (MapStage, Increase): ("map-Increase", _map_increase),
     (MapStage, Decrease): ("map-Decrease", _map_decrease),
-    (MapStage, Repartition): ("decrease-then-increase", _decrease_then_increase),
     (FoldStage, Increase): ("fold-Increase", _fold_increase),
     (FoldStage, Decrease): ("fold-Decrease", _fold_decrease),
-    (FoldStage, Repartition): ("decrease-then-increase", _decrease_then_increase),
     (ZiptStage, Increase): ("zipt'", _zipt_increase),
     (UnziptStage, Increase): ("unzipt'", _unzipt_increase),
 }
@@ -548,14 +521,14 @@ def derive(program: Program, tr: Transform) -> Derivation:
             f"does not match transformed original {print_type(expected_result)}"
         )
 
-    pre: list[tuple[str, Stage]] = []
-    for i, step in enumerate(input_steps, start=1):
-        for st in _realize_stages(step):
-            pre.append((fresh_name(f"pre_{i}", used), st))
-    post: list[tuple[str, Stage]] = []
-    for i, step in enumerate(reversed(output_steps), start=1):
-        for st in _realize_stages(invert_step(step)):
-            post.append((fresh_name(f"post_{i}", used), st))
+    pre = [
+        (fresh_name(f"pre_{i}", used), ReshapeStage(step))
+        for i, step in enumerate(input_steps, start=1)
+    ]
+    post = [
+        (fresh_name(f"post_{i}", used), ReshapeStage(invert_step(step)))
+        for i, step in enumerate(reversed(output_steps), start=1)
+    ]
     combinators |= {print_stage(st) for _, st in pre + post}
     boundary = Program(
         program.input_name,
@@ -599,18 +572,21 @@ class VerifyReport:
 def verify(d: Derivation, trials: int = 100, seed: int = 0) -> VerifyReport:
     """Compare original and derived programs on seeded random inputs.
 
-    The derived result is mapped back through the inverse of the output
-    transform before comparison; equality is exact.
+    Each program is compiled once, before the first trial.  The derived
+    result is mapped back through the inverse of the output transform
+    before comparison; equality is exact.
     """
     rng = random.Random(seed)
     inverse_out = invert_transform(d.output_transform)
+    run_original = compile_program(d.original)
+    run_derived = compile_program(d.derived)
     passes = 0
     first = None
     for _ in range(trials):
         v = random_value(d.original.input_type, rng)
-        lhs = eval_program(d.original, v)
+        lhs = run_original(v)
         transformed = apply_transform_value(d.input_transform, v)
-        rhs = apply_transform_value(inverse_out, eval_program(d.derived, transformed))
+        rhs = apply_transform_value(inverse_out, run_derived(transformed))
         if lhs == rhs:
             passes += 1
         elif first is None:

@@ -1,18 +1,15 @@
 """Exception hierarchy shared across the package.
 
-Every error carries a ``category`` used by the CLI to pick its exit code:
-parse errors exit 1, typing/shape errors 2, derivation errors 3,
-verification failures 4, I/O problems 5.
+Each error the package raises for bad input is a ``VectxError``, whose
+subclass names what went wrong.
 """
 
 
 class VectxError(Exception):
-    category = "type"
+    pass
 
 
 class ParseError(VectxError):
-    category = "parse"
-
     def __init__(self, message, line=None, column=None):
         loc = ""
         if line is not None:
@@ -66,27 +63,4 @@ class MissingPrimitiveError(VectxError):
 
 
 class DerivationError(VectxError):
-    category = "derivation"
-
-
-class VerificationFailure(VectxError):
-    """A derivation that promised preservation failed a trial."""
-
-    category = "verify"
-
-
-EXIT_CODES = {
-    "parse": 1,
-    "type": 2,
-    "derivation": 3,
-    "verify": 4,
-    "io": 5,
-}
-
-
-def exit_code_for(err: BaseException) -> int:
-    if isinstance(err, VectxError):
-        return EXIT_CODES.get(err.category, 2)
-    if isinstance(err, OSError):
-        return EXIT_CODES["io"]
-    raise err
+    """Raised when a transform or a stage has no derivation."""

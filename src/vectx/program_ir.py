@@ -32,6 +32,7 @@ from .type_algebra import (
     Decrease,
     Increase,
     Pair,
+    Step,
     Vec,
     VecType,
     parse_type,
@@ -86,6 +87,25 @@ class OpaqueFn:
     defn: Optional[FnDef] = None
 
 
+def defn_sig(defn: FnDef, h: FnSig, k: int) -> Optional[FnSig]:
+    """The signature of a function that ``defn`` defines over a function of
+    signature h, or None when h does not fit ``defn``.  An ``elementwise`` or
+    ``foldof`` function is taken at chunk width k; a ``wrapelem`` or
+    ``wrapfold`` function replicates to its own ``k``."""
+    args, ret = h.args, h.ret
+    if isinstance(defn, ElementwiseDef) and len(args) == 1:
+        return FnSig((Vec(k, args[0]),), Vec(k, ret))
+    if isinstance(defn, FoldOfDef) and len(args) == 2 and args[0] == ret:
+        return FnSig((ret, Vec(k, args[1])), ret)
+    if isinstance(defn, WrapElemDef) and len(args) == 1:
+        if all(isinstance(t, Vec) and t.size == defn.k for t in (args[0], ret)):
+            return FnSig((args[0].element,), ret.element)
+    if isinstance(defn, WrapFoldDef) and len(args) == 2 and args[0] == ret:
+        if isinstance(args[1], Vec) and args[1].size == defn.k:
+            return FnSig((ret, args[1].element), ret)
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Stages and programs
 
@@ -116,7 +136,7 @@ class ReshapeStage:
     """``reshapeTo k`` holds ``Increase(k)`` and ``reshapeFrom k``
     ``Decrease(k)``: the step types the stage and runs it on values."""
 
-    step: Union[Increase, Decrease]
+    step: Step
 
 
 # Not a stage: only perfbench/run.py reads this name, and nothing builds one.
@@ -226,52 +246,24 @@ def _check_fn(fn: OpaqueFn, fns: dict[str, OpaqueFn]):
     if d.fn not in fns:
         raise StageTypeError(f"fn {fn.name}: unknown function {d.fn}")
     h = fns[d.fn]
-    if isinstance(d, ElementwiseDef):
-        ok = (
-            len(fn.sig.args) == 1
-            and len(h.sig.args) == 1
-            and isinstance(fn.sig.args[0], Vec)
-            and isinstance(fn.sig.ret, Vec)
-            and fn.sig.args[0].size == fn.sig.ret.size
-            and fn.sig.args[0].element == h.sig.args[0]
-            and fn.sig.ret.element == h.sig.ret
+    # an elementwise or foldof function is taken at the width of its last
+    # argument; when that is no vector, the signatures differ at any width
+    last = fn.sig.args[-1] if fn.sig.args else fn.sig.ret
+    k = last.size if isinstance(last, Vec) else 1
+    if fn.sig == defn_sig(d, h.sig, k):
+        return
+    args = h.sig.args
+    if isinstance(d, ElementwiseDef) and len(args) == 1:
+        raise StageTypeError(
+            f"fn {fn.name}: elementwise {h.name} needs signature "
+            f"[{print_type(args[0])}]<k> -> [{print_type(h.sig.ret)}]<k>"
         )
-        if not ok:
-            raise StageTypeError(
-                f"fn {fn.name}: elementwise {h.name} needs signature "
-                f"[{print_type(h.sig.args[0])}]<k> -> [{print_type(h.sig.ret)}]<k>"
-            )
-    elif isinstance(d, FoldOfDef):
-        ok = (
-            len(fn.sig.args) == 2
-            and len(h.sig.args) == 2
-            and isinstance(fn.sig.args[1], Vec)
-            and fn.sig.args[0] == h.sig.args[0] == h.sig.ret == fn.sig.ret
-            and fn.sig.args[1].element == h.sig.args[1]
+    if isinstance(d, FoldOfDef) and len(args) == 2:
+        raise StageTypeError(
+            f"fn {fn.name}: foldof {h.name} needs signature b -> [{print_type(args[1])}]<k> -> b"
         )
-        if not ok:
-            raise StageTypeError(
-                f"fn {fn.name}: foldof {h.name} needs signature "
-                f"b -> [{print_type(h.sig.args[1])}]<k> -> b"
-            )
-    elif isinstance(d, WrapElemDef):
-        ok = (
-            len(fn.sig.args) == 1
-            and len(h.sig.args) == 1
-            and h.sig.args[0] == Vec(d.k, fn.sig.args[0])
-            and h.sig.ret == Vec(d.k, fn.sig.ret)
-        )
-        if not ok:
-            raise StageTypeError(f"fn {fn.name}: wrapelem signature mismatch")
-    elif isinstance(d, WrapFoldDef):
-        ok = (
-            len(fn.sig.args) == 2
-            and len(h.sig.args) == 2
-            and fn.sig.args[0] == h.sig.args[0] == h.sig.ret == fn.sig.ret
-            and h.sig.args[1] == Vec(d.k, fn.sig.args[1])
-        )
-        if not ok:
-            raise StageTypeError(f"fn {fn.name}: wrapfold signature mismatch")
+    kind = _print_defn(d).split()[0]
+    raise StageTypeError(f"fn {fn.name}: {kind} signature mismatch")
 
 
 def typecheck(program: Program) -> TypedProgram:

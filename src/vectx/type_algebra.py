@@ -373,7 +373,9 @@ def path_between(t1: VecType, t2: VecType) -> Transform:
 
 
 # ---------------------------------------------------------------------------
-# Canonical steps: a reshape between vector types factors into these.
+# Canonical steps: a reshape between vector types factors into these.  Each
+# adds or removes one level of the partition at the outside of a type, so a
+# re-chunk, [[t]<k>]<m> to [[t]<n>]<k*m/n>, is Decrease(k) then Increase(n).
 
 
 @dataclass(frozen=True)
@@ -390,23 +392,13 @@ class Decrease:
     k: int
 
 
-@dataclass(frozen=True)
-class Repartition:
-    """[[t]<k>]<m> becomes [[t]<n>]<k*m/n>: re-chunk."""
-
-    n: int
-    k: int
-
-
-Step = Union[Increase, Decrease, Repartition]
+Step = Union[Increase, Decrease]
 
 
 def print_step(step: Step) -> str:
     if isinstance(step, Increase):
         return f"increase {step.k}"
-    if isinstance(step, Decrease):
-        return f"decrease {step.k}"
-    return f"repartition {step.k}->{step.n}"
+    return f"decrease {step.k}"
 
 
 @lru_cache(maxsize=256)
@@ -414,17 +406,13 @@ def step_transform(step: Step) -> Transform:
     """The step as a transform in ``S``, ``R`` and ``M``."""
     if isinstance(step, Increase):
         return Transform((Regroup(step.k), MapElem(Transform((Lift(),)))))
-    if isinstance(step, Decrease):
-        return Transform((MapElem(Transform((Unlift(),))), RegroupInv(step.k)))
-    return Transform((Regroup(step.n), RegroupInv(step.k)))
+    return Transform((MapElem(Transform((Unlift(),))), RegroupInv(step.k)))
 
 
 def invert_step(step: Step) -> Step:
     if isinstance(step, Increase):
         return Decrease(step.k)
-    if isinstance(step, Decrease):
-        return Increase(step.k)
-    return Repartition(step.k, step.n)
+    return Increase(step.k)
 
 
 def step_apply(step: Step, t: VecType) -> VecType:

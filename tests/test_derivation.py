@@ -11,8 +11,8 @@ from vectx.derivation import (
     Derivation,
     Increase,
     Preserved,
-    Repartition,
     _FnTable,
+    combine_verdicts,
     derive,
     derive_step,
     expects_preservation,
@@ -48,6 +48,7 @@ from vectx.type_algebra import (
     Step,
     apply_transform,
     from_dims,
+    invert_step,
     parse_transform,
     parse_type,
     path_between,
@@ -73,7 +74,7 @@ def test_factor_rechunking_is_repartition():
     steps = factor_transform(
         parse_transform("R 6 R^-1 2"), parse_type("[[a]<2>]<6>")
     )
-    assert steps == (Repartition(6, 2),)
+    assert steps == (Decrease(2), Increase(6))
 
 
 def test_factor_identity_is_empty():
@@ -93,6 +94,10 @@ def test_factor_reproduces_arbitrary_transforms():
             cur = step_apply(step, cur)
         assert cur == t2
         assert apply_transform(steps_to_transform(steps), t1) == t2
+        kinds = [type(step) for step in steps]
+        assert kinds == sorted(kinds, key=lambda kind: kind is Increase)
+        # no Decrease(k) is directly followed by Increase(k)
+        assert all(b != invert_step(a) for a, b in zip(steps, steps[1:]))
 
 
 # -- programs used below ---------------------------------------------------------
@@ -179,8 +184,8 @@ def test_stage_records_name_the_rules_applied():
     assert [r.rules for r in d.stage_records] == [("zipt'",), ("map-Increase",), ("unzipt'",)]
     p = parse_program(CHUNKED_MAP_OPAQUE)
     d = derive(p, path_between(p.input_type, parse_type("[a]<6><2>")))
-    assert d.input_steps == (Repartition(6, 3),)
-    assert [r.rules for r in d.stage_records] == [("decrease-then-increase",)]
+    assert d.input_steps == (Decrease(3), Increase(6))
+    assert [r.rules for r in d.stage_records] == [("map-Decrease", "map-Increase")]
 
 
 # -- map rules -------------------------------------------------------------------
@@ -214,16 +219,25 @@ def test_map_decrease_without_annotation_wraps():
     assert res.combinators == frozenset({"toVector 3", "fromVector 3"})
 
 
+def rechunk(p, k: int, n: int) -> tuple:
+    """Decrease(k) through p's one stage, then Increase(n) through the run
+    that returns: the two steps of a re-chunk from width k to width n."""
+    table = _FnTable(p.fns)
+    dec = derive_step(Decrease(k), (p.stages[0][1],), p.input_type, table)
+    flat = step_apply(Decrease(k), p.input_type)
+    return dec, derive_step(Increase(n), dec.stages, flat, table)
+
+
 def test_map_repartition_reuses_function():
-    # Repartition is Decrease then Increase: an opaque chunk function such as
+    # A re-chunk is Decrease then Increase: an opaque chunk function such as
     # reverse is not width-independent, so its reuse is conditional.
     target = parse_type("[a]<6><2>")
     p = parse_program(CHUNKED_MAP_OPAQUE)
-    table = _FnTable(p.fns)
-    res = derive_step(Repartition(6, 3), (p.stages[0][1],), p.input_type, table)
-    assert res.verdict == ConditionallyPreserved("f = map h", False)
+    dec, inc = rechunk(p, 3, 6)
+    verdict = combine_verdicts([dec.verdict, inc.verdict])
+    assert verdict == ConditionallyPreserved("f = map h", False)
     d = derive(p, path_between(p.input_type, target))
-    assert d.input_steps == (Repartition(6, 3),)
+    assert d.input_steps == (Decrease(3), Increase(6))
     rep = verify(d, trials=10, seed=1)
     assert rep.failures > 0 and not rep.hard_failure
 
@@ -268,11 +282,10 @@ def test_fold_decrease_without_annotation():
 
 
 def test_fold_repartition_is_decrease_then_increase():
-    p = parse_program(CHUNKED_FOLD)
-    table = _FnTable(p.fns)
-    res = derive_step(Repartition(6, 3), (p.stages[0][1],), p.input_type, table)
-    assert res.stages == (FoldStage("h__f6", 0),)
-    assert res.verdict == ConditionallyPreserved("f = foldl h", True)
+    dec, inc = rechunk(parse_program(CHUNKED_FOLD), 3, 6)
+    assert inc.stages == (FoldStage("h__f6", 0),)
+    verdict = combine_verdicts([dec.verdict, inc.verdict])
+    assert verdict == ConditionallyPreserved("f = foldl h", True)
 
 
 # -- zip rules ----------------------------------------------------------------------

@@ -119,6 +119,21 @@ result r = g s
         typecheck(parse_program(bad))
 
 
+@pytest.mark.parametrize(
+    "h_sig, f_sig, defn",
+    [
+        ("b -> a -> b", "[a]<2> -> [a]<2>", "elementwise h"),
+        ("a -> a", "b -> [a]<2> -> b", "foldof h"),
+        ("b -> [a]<2> -> b", "a -> a", "wrapelem h 2"),
+        ("[a]<2> -> [a]<2>", "b -> a -> b", "wrapfold h 2"),
+    ],
+)
+def test_definition_over_a_function_of_the_wrong_arity_is_type_error(h_sig, f_sig, defn):
+    text = f"input s :: [a]<4>\nfn h :: {h_sig}\nfn f :: {f_sig}\nfn f = {defn}\nresult r = s\n"
+    with pytest.raises(StageTypeError, match=f"fn f: {defn.split()[0]}"):
+        typecheck(parse_program(text))
+
+
 @pytest.mark.parametrize("kind", ["wrapelem", "wrapfold"])
 def test_wrapper_size_must_be_an_integer(kind):
     text = MAP_PROGRAM.replace("fn f = prim add1", f"fn f = {kind} g x")
