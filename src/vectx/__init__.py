@@ -11,7 +11,6 @@ from .type_algebra import (
     apply_op,
     apply_transform,
     invert_transform,
-    canonicalize,
     path_between,
     parse_type,
     print_type,
@@ -31,7 +30,6 @@ __all__ = [
     "apply_op",
     "apply_transform",
     "invert_transform",
-    "canonicalize",
     "path_between",
     "parse_type",
     "print_type",

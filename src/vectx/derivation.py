@@ -1,15 +1,18 @@
 """Derive transformed pipelines from transforms of their input types.
 
-An input transform is first factored into canonical steps (defined in
-``type_algebra``), each acting on the outer dimensions of the current type:
+An input transform is first factored into canonical steps, each acting on
+the outer dimensions of the current type:
 
     Increase(k)   [t]<N>      -> [[t]<k>]<N/k>   (chunk into k-groups)
     Decrease(k)   [[t]<k>]<m> -> [t]<k*m>        (flatten one level)
 
-The steps flatten the source's outer levels and then chunk towards the
-target's, cancelling each level the two share, so a re-chunk of
-``[[t]<k>]<m>`` to ``[[t]<n>]<k*m/n>`` is the two steps Decrease(k),
-Increase(n).  A transform that uses ``V`` is not a reshape and is rejected.
+A reshape goes between vector types, and the steps between two types are
+worked out once, by ``type_algebra.steps_between``, from the source type and
+the type the transform reaches.  They flatten the source's outer levels and
+then chunk towards the target's, cancelling each level the two share, so a
+re-chunk of ``[[t]<k>]<m>`` to ``[[t]<n>]<k*m/n>`` is the two steps
+Decrease(k), Increase(n).  A transform that uses ``V`` is not a reshape and
+is rejected.
 
 Each step is then pushed through the pipeline one stage at a time.  A stage
 consumes the steps arriving at its input and emits the steps describing how
@@ -70,7 +73,6 @@ from .program_ir import (
     ZiptStage,
     defn_sig,
     fresh_name,
-    print_stage,
     stage_output_type,
     typecheck,
 )
@@ -81,7 +83,6 @@ from .runtime import (
     random_value,
 )
 from .type_algebra import (
-    IDENTITY,
     Decrease,
     Increase,
     Pair,
@@ -90,38 +91,19 @@ from .type_algebra import (
     Vec,
     VecType,
     apply_transform,
-    compose,
-    dims_of,
     invert_step,
     invert_transform,
-    leaf_of,
     print_op,
     print_step,
     print_type,
     step_apply,
-    step_transform,
-    total_size,
+    steps_between,
+    steps_to_transform,
     wrap_op,
 )
 
 # ---------------------------------------------------------------------------
 # Canonical steps
-
-
-def steps_to_transform(steps) -> Transform:
-    tr = IDENTITY
-    for step in steps:
-        tr = compose(step_transform(step), tr)
-    return tr
-
-
-def _steps_between_dims(src: tuple[int, ...], tgt: tuple[int, ...]) -> list[Step]:
-    down = [Decrease(d) for d in reversed(src[:-1])]
-    up = [Increase(d) for d in tgt[:-1]]
-    while down and up and down[-1].k == up[0].k:  # a level both types share
-        down.pop()
-        up.pop(0)
-    return down + up
 
 
 def factor_transform(tr: Transform, t: VecType) -> tuple[Step, ...]:
@@ -132,7 +114,10 @@ def factor_transform(tr: Transform, t: VecType) -> tuple[Step, ...]:
             f"{print_op(op)} replicates or projects, so it is not a reshape and has no derivation"
         )
     target = apply_transform(tr, t)
-    steps = _factor_between(t, target)
+    try:
+        steps = steps_between(t, target)
+    except VectxError as e:
+        raise DerivationError(str(e)) from e
     cur = t
     for step in steps:
         cur = step_apply(step, cur)
@@ -140,30 +125,7 @@ def factor_transform(tr: Transform, t: VecType) -> tuple[Step, ...]:
         raise DerivationError(
             f"internal: steps reach {print_type(cur)}, not {print_type(target)}"
         )
-    return tuple(steps)
-
-
-def _factor_between(t: VecType, target: VecType) -> list[Step]:
-    if isinstance(t, Pair) or isinstance(target, Pair):
-        if isinstance(t, Vec) or isinstance(target, Vec):
-            raise DerivationError(
-                f"cannot factor between {print_type(t)} and {print_type(target)}"
-            )
-        steps = _factor_between(t.fst, target.fst)
-        if steps != _factor_between(t.snd, target.snd):
-            raise DerivationError(
-                "both components of a pair must be transformed identically"
-            )
-        return steps
-    if leaf_of(t) != leaf_of(target) or total_size(t) != total_size(target):
-        raise DerivationError(
-            f"no step sequence from {print_type(t)} to {print_type(target)}"
-        )
-    if not isinstance(t, Vec) or not isinstance(target, Vec):
-        if t == target:
-            return []
-        raise DerivationError(f"cannot reshape a bare {print_type(t)}")
-    return _steps_between_dims(dims_of(t), dims_of(target))
+    return steps
 
 
 # ---------------------------------------------------------------------------
@@ -243,14 +205,12 @@ class _FnTable:
 @dataclass(frozen=True)
 class StepResult:
     """The stages that replace a stage, or a run of stages, under one step;
-    the step that leaves them (``None`` once consumed); the verdict; the
-    combinators introduced; and, from ``derive_step``, the ``RULES`` names
-    applied, in order."""
+    the step that leaves them (``None`` once consumed); the verdict; and,
+    from ``derive_step``, the ``RULES`` names applied, in order."""
 
     stages: tuple[Stage, ...]
     out_step: Optional[Step]
     verdict: Verdict
-    combinators: frozenset[str]
     rules: tuple[str, ...] = ()
 
 
@@ -274,7 +234,7 @@ def _map_increase(
         k,
         f"cannot lift map {fn.name}: it does not take one argument",
     )
-    return StepResult((MapStage(table.ensure(lifted)),), step, Preserved(), frozenset())
+    return StepResult((MapStage(table.ensure(lifted)),), step, Preserved())
 
 
 def _map_decrease(
@@ -291,12 +251,11 @@ def _map_decrease(
     condition = "f = map h"
     if isinstance(fn.defn, ElementwiseDef):
         verdict = ConditionallyPreserved(condition, True)
-        return StepResult((MapStage(fn.defn.fn),), step, verdict, frozenset())
+        return StepResult((MapStage(fn.defn.fn),), step, verdict)
     return StepResult(
         (MapStage(table.ensure(wrapped)),),
         step,
         ConditionallyPreserved(condition, False),
-        frozenset({f"toVector {k}", f"fromVector {k}"}),
     )
 
 
@@ -311,9 +270,7 @@ def _fold_increase(
         k,
         f"cannot chunk fold {fn.name}: its signature is not b -> t -> b",
     )
-    return StepResult(
-        (FoldStage(table.ensure(folded), stage.acc),), None, Preserved(), frozenset()
-    )
+    return StepResult((FoldStage(table.ensure(folded), stage.acc),), None, Preserved())
 
 
 def _fold_decrease(
@@ -330,12 +287,11 @@ def _fold_decrease(
     condition = "f = foldl h"
     if isinstance(fn.defn, FoldOfDef):
         verdict = ConditionallyPreserved(condition, True)
-        return StepResult((FoldStage(fn.defn.fn, stage.acc),), None, verdict, frozenset())
+        return StepResult((FoldStage(fn.defn.fn, stage.acc),), None, verdict)
     return StepResult(
         (FoldStage(table.ensure(wrapped), stage.acc),),
         None,
         ConditionallyPreserved(condition, False),
-        frozenset({f"toVector {k}"}),
     )
 
 
@@ -346,9 +302,7 @@ def _zipt_increase(
     pair_fn = OpaqueFn(
         "ztp", FnSig((Pair(Vec(k, e1), Vec(k, e2)),), Vec(k, Pair(e1, e2))), PrimDef("zipt")
     )
-    return StepResult(
-        (stage, MapStage(table.ensure(pair_fn))), step, Preserved(), frozenset({"zipt'"})
-    )
+    return StepResult((stage, MapStage(table.ensure(pair_fn))), step, Preserved())
 
 
 def _unzipt_increase(
@@ -358,15 +312,12 @@ def _unzipt_increase(
     unpair_fn = OpaqueFn(
         "uztp", FnSig((Vec(k, Pair(e1, e2)),), Pair(Vec(k, e1), Vec(k, e2))), PrimDef("unzipt")
     )
-    return StepResult(
-        (MapStage(table.ensure(unpair_fn)), stage), step, Preserved(), frozenset({"unzipt'"})
-    )
+    return StepResult((MapStage(table.ensure(unpair_fn)), stage), step, Preserved())
 
 
 def _conjugate(step: Step, stage: Stage, in_type: VecType, table: _FnTable) -> StepResult:
     """Undo the input step, then run the original stage unchanged."""
-    undo = ReshapeStage(invert_step(step))
-    return StepResult((undo, stage), None, Preserved(), frozenset({print_stage(undo)}))
+    return StepResult((ReshapeStage(invert_step(step)), stage), None, Preserved())
 
 
 Rule = Callable[[Step, Stage, VecType, _FnTable], StepResult]
@@ -396,7 +347,6 @@ def derive_step(
     reaches it."""
     out: list[Stage] = []
     verdicts: list[Verdict] = []
-    combinators: frozenset[str] = frozenset()
     rules: list[str] = []
     for i, stage in enumerate(stages):
         if step is None:
@@ -408,10 +358,9 @@ def derive_step(
         res = rule(step, stage, in_type, table)
         out += res.stages
         verdicts.append(res.verdict)
-        combinators |= res.combinators
         rules.append(name)
         step = res.out_step
-    return StepResult(tuple(out), step, combine_verdicts(verdicts), combinators, tuple(rules))
+    return StepResult(tuple(out), step, combine_verdicts(verdicts), tuple(rules))
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +390,6 @@ class Derivation:
     output_steps: tuple[Step, ...]
     verdict: Verdict
     stage_records: tuple[StageRecord, ...]
-    combinators: frozenset[str]
 
 
 def derive(program: Program, tr: Transform) -> Derivation:
@@ -455,7 +403,6 @@ def derive(program: Program, tr: Transform) -> Derivation:
     used = {name for name, _ in program.stages}
     records: list[StageRecord] = []
     all_verdicts: list[Verdict] = []
-    combinators: set[str] = set()
 
     for (name, stage), (in_t, _out_t) in zip(program.stages, typed.stage_types):
         stages: tuple[Stage, ...] = (stage,)
@@ -480,7 +427,6 @@ def derive(program: Program, tr: Transform) -> Derivation:
             if res.out_step is not None:
                 out_steps.append(res.out_step)
             stage_verdicts.append(res.verdict)
-            combinators |= res.combinators
             rules += res.rules
         if len(stages) == 1:
             derived_stages.append((name, stages[0]))
@@ -529,7 +475,6 @@ def derive(program: Program, tr: Transform) -> Derivation:
         (fresh_name(f"post_{i}", used), ReshapeStage(invert_step(step)))
         for i, step in enumerate(reversed(output_steps), start=1)
     ]
-    combinators |= {print_stage(st) for _, st in pre + post}
     boundary = Program(
         program.input_name,
         program.input_type,
@@ -548,7 +493,6 @@ def derive(program: Program, tr: Transform) -> Derivation:
         output_steps=output_steps,
         verdict=verdict,
         stage_records=tuple(records),
-        combinators=frozenset(combinators),
     )
 
 
@@ -576,6 +520,8 @@ def verify(d: Derivation, trials: int = 100, seed: int = 0) -> VerifyReport:
     result is mapped back through the inverse of the output transform
     before comparison; equality is exact.
     """
+    if trials < 0:
+        raise VectxError(f"verify needs trials >= 0, got {trials}")
     rng = random.Random(seed)
     inverse_out = invert_transform(d.output_transform)
     run_original = compile_program(d.original)

@@ -1,4 +1,4 @@
-"""Nested vector values, runtime combinators, and the reference evaluator.
+"""Nested vector values, the value-level operations, and the reference evaluator.
 
 Values mirror types: a scalar is a plain Python ``int`` (its type exactly:
 a ``bool`` would print as ``True``), a pair a ``TupVal`` and a vector a
@@ -18,7 +18,7 @@ through it (``_step_fn``).  There is no per-operation value interpreter:
 ``type_algebra`` is the only statement of what each operation does.
 
 ``V`` is type-level only: replication and projection are not reshapes.  The
-``to_vector``/``from_vector`` combinators replicate and project for the
+``to_vector``/``from_vector`` functions replicate and project for the
 ``wrapelem``/``wrapfold`` functions, and ``zipt``/``unzipt`` convert between
 a pair of vectors and a vector of pairs.
 

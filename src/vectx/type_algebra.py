@@ -22,8 +22,13 @@ Transforms are sequences of primitive operations applied right to left:
 
 ``S``, ``M`` and ``R`` never change the total size of a type; ``V`` does and
 is excluded from the size-invariance guarantees.  Every transform built from
-these operations is invertible, and any two types with the same leaf and the
-same total size are connected by one (``path_between``).
+these operations is invertible.
+
+A reshape goes between two vector types with the same leaf and the same total
+size, and factors into the canonical steps ``Increase`` and ``Decrease``.
+The steps between two types are worked out once, here (``steps_between``);
+``path_between`` gives them as one transform, and the derivation pushes them
+through a pipeline.
 
 ``S``, ``M`` and ``R`` re-partition the ordered leaves without reordering
 them, so the types alone fix what they do to a value.  ``V`` replicates and
@@ -318,60 +323,6 @@ def invert_transform(tr: Transform) -> Transform:
     return Transform(tuple(invert_op(op) for op in reversed(tr.ops)))
 
 
-def canonicalize(t: VecType) -> tuple[Transform, VecType]:
-    """Flatten a type to its 1-D form ``[leaf]<N>``.
-
-    Returns the transform that performs the flattening together with the
-    flat type.  Each round collapses the outer two dimensions: regroup the
-    whole inner size outwards, then strip the resulting singleton.  A bare
-    leaf is lifted to ``[leaf]<1>`` so the result is always one-dimensional.
-    """
-    if not isinstance(t, Vec):
-        return Transform((Lift(),)), Vec(1, t)
-    applied = []  # in application order
-    cur = t
-    while isinstance(cur.element, Vec):
-        inner = cur.element.size
-        applied.append(RegroupInv(inner))
-        applied.append(MapElem(Transform((Unlift(),))))
-        cur = Vec(cur.size * inner, cur.element.element)
-    return Transform(tuple(reversed(applied))), cur
-
-
-def path_between(t1: VecType, t2: VecType) -> Transform:
-    """A transform carrying t1 to t2: flatten t1, then rebuild t2.
-
-    Both types must have the same total size and the same leaf element.  Two
-    pairs are carried component by component, and as ``apply_transform``
-    transforms both components alike, the two paths must be the same.
-    """
-    if isinstance(t1, Pair) and isinstance(t2, Pair):
-        path = path_between(t1.fst, t2.fst)
-        if path != path_between(t1.snd, t2.snd):
-            raise PairMismatchError(
-                f"the components of a pair need different reshapes: first "
-                f"{print_type(t1.fst)} to {print_type(t2.fst)}, second "
-                f"{print_type(t1.snd)} to {print_type(t2.snd)}"
-            )
-        return path
-    if isinstance(t1, Pair) or isinstance(t2, Pair):
-        raise PairMismatchError(
-            f"no reshape between a pair and a vector: {print_type(t1)} and {print_type(t2)}"
-        )
-    if total_size(t1) != total_size(t2):
-        raise SizeMismatchError(
-            f"total sizes differ: {print_type(t1)} has {total_size(t1)}, "
-            f"{print_type(t2)} has {total_size(t2)}"
-        )
-    if leaf_of(t1) != leaf_of(t2):
-        raise AtomMismatchError(
-            f"leaf elements differ: {print_type(leaf_of(t1))} vs {print_type(leaf_of(t2))}"
-        )
-    down, _ = canonicalize(t1)
-    up, _ = canonicalize(t2)
-    return compose(invert_transform(up), down)
-
-
 # ---------------------------------------------------------------------------
 # Canonical steps: a reshape between vector types factors into these.  Each
 # adds or removes one level of the partition at the outside of a type, so a
@@ -409,6 +360,14 @@ def step_transform(step: Step) -> Transform:
     return Transform((MapElem(Transform((Unlift(),))), RegroupInv(step.k)))
 
 
+def steps_to_transform(steps) -> Transform:
+    """The steps, applied first to last, as one transform."""
+    tr = IDENTITY
+    for step in steps:
+        tr = compose(step_transform(step), tr)
+    return tr
+
+
 def invert_step(step: Step) -> Step:
     if isinstance(step, Increase):
         return Decrease(step.k)
@@ -422,6 +381,58 @@ def step_apply(step: Step, t: VecType) -> VecType:
         if not isinstance(part, Vec):
             raise ShapeError(f"{print_step(step)} needs a vector, got {print_type(part)}")
     return apply_transform(step_transform(step), t)
+
+
+def steps_between(t1: VecType, t2: VecType) -> tuple[Step, ...]:
+    """The steps carrying t1 to t2: flatten t1's outer levels, then chunk
+    towards t2's, cancelling each inner level the two share.
+
+    Both types must have the same total size and the same leaf element, and
+    two unequal types must both be vectors.  Two pairs are carried component
+    by component, and as ``apply_transform`` transforms both components
+    alike, the two must need the same steps.
+    """
+    if isinstance(t1, Pair) and isinstance(t2, Pair):
+        steps = steps_between(t1.fst, t2.fst)
+        if steps != steps_between(t1.snd, t2.snd):
+            raise PairMismatchError(
+                f"the components of a pair need different reshapes: first "
+                f"{print_type(t1.fst)} to {print_type(t2.fst)}, second "
+                f"{print_type(t1.snd)} to {print_type(t2.snd)}"
+            )
+        return steps
+    if isinstance(t1, Pair) or isinstance(t2, Pair):
+        raise PairMismatchError(
+            f"no reshape between a pair and a vector: {print_type(t1)} and {print_type(t2)}"
+        )
+    if total_size(t1) != total_size(t2):
+        raise SizeMismatchError(
+            f"total sizes differ: {print_type(t1)} has {total_size(t1)}, "
+            f"{print_type(t2)} has {total_size(t2)}"
+        )
+    if leaf_of(t1) != leaf_of(t2):
+        raise AtomMismatchError(
+            f"leaf elements differ: {print_type(leaf_of(t1))} vs {print_type(leaf_of(t2))}"
+        )
+    if t1 == t2:
+        return ()
+    for t in (t1, t2):
+        if not isinstance(t, Vec):
+            raise ShapeError(
+                f"no reshape between {print_type(t1)} and {print_type(t2)}: "
+                f"{print_type(t)} is not a vector"
+            )
+    down = [Decrease(d) for d in reversed(dims_of(t1)[:-1])]
+    up = [Increase(d) for d in dims_of(t2)[:-1]]
+    while down and up and down[-1].k == up[0].k:  # a level both types share
+        down.pop()
+        up.pop(0)
+    return tuple(down + up)
+
+
+def path_between(t1: VecType, t2: VecType) -> Transform:
+    """A transform carrying t1 to t2: the transform of ``steps_between``."""
+    return steps_to_transform(steps_between(t1, t2))
 
 
 # ---------------------------------------------------------------------------

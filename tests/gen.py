@@ -161,15 +161,6 @@ def random_applicable_transform(
     return Transform(tuple(reversed(applied)))
 
 
-def uses_wrap(tr: Transform) -> bool:
-    for op in tr.ops:
-        if isinstance(op, (Wrap, Unwrap)):
-            return True
-        if isinstance(op, MapElem) and uses_wrap(op.inner):
-            return True
-    return False
-
-
 def flatten(v) -> VecVal:
     """Fully flatten nested vectors into the 1-D sequence of their leaves:
     the order oracle that value reshapes are checked against."""

@@ -1,3 +1,4 @@
+import ast
 import importlib
 from pathlib import Path
 
@@ -5,7 +6,8 @@ import pytest
 
 import vectx
 
-PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+ROOT = Path(__file__).resolve().parent.parent
+PYPROJECT = ROOT / "pyproject.toml"
 
 
 def test_every_exported_name_resolves():
@@ -23,3 +25,35 @@ def test_console_scripts_import():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), f"console script {name} -> {target} is not callable"
+
+
+def unused_top_level_imports(path: Path) -> list[str]:
+    """Names a module imports at top level and never reads, leaving out
+    ``from __future__`` imports and the names in ``__all__``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported, exported = set(), set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.partition(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            exported |= set(ast.literal_eval(node.value))
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(imported - read - exported)
+
+
+def test_no_unused_top_level_imports():
+    modules = sorted((ROOT / "src" / "vectx").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    unused = {
+        str(path.relative_to(ROOT)): names
+        for path in modules
+        if (names := unused_top_level_imports(path))
+    }
+    assert unused == {}

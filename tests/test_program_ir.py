@@ -5,11 +5,8 @@ import pytest
 
 from vectx.errors import MissingPrimitiveError, ParseError, ShapeError, StageTypeError
 from vectx.program_ir import (
-    ElementwiseDef,
-    FoldStage,
     MapStage,
     PrimDef,
-    ZiptStage,
     parse_program,
     print_program,
     typecheck,

@@ -5,11 +5,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gen import (
-    divisors,
     random_applicable_transform,
     random_structural_transform,
     random_type,
-    uses_wrap,
 )
 from vectx.errors import (
     AtomMismatchError,
@@ -37,9 +35,9 @@ from vectx.type_algebra import (
     Wrap,
     apply_op,
     apply_transform,
-    canonicalize,
     compose,
     invert_transform,
+    leaf_of,
     parse_transform,
     parse_type,
     path_between,
@@ -196,34 +194,6 @@ def test_inverse_round_trip_on_random_applicable_pairs():
         assert apply_transform(invert_transform(tr), out) == t
 
 
-# -- canonicalize ------------------------------------------------------------
-
-
-def test_canonicalize_two_dims():
-    tr, flat = canonicalize(T("[[a]<2>]<3>"))
-    assert flat == T("[a]<6>")
-    assert tr == TR("M ( S^-1 ) R^-1 2")
-
-
-def test_canonicalize_flat_is_identity():
-    tr, flat = canonicalize(T("[a]<6>"))
-    assert flat == T("[a]<6>")
-    assert tr == IDENTITY
-
-
-def test_canonicalize_atom_lifts():
-    tr, flat = canonicalize(A)
-    assert flat == T("[a]<1>")
-    assert tr == Transform((Lift(),))
-
-
-def test_canonicalize_three_dims_applies_back():
-    t = T("[[[a]<2>]<3>]<5>")
-    tr, flat = canonicalize(t)
-    assert flat == T("[a]<30>")
-    assert apply_transform(tr, t) == flat
-
-
 # -- path_between ------------------------------------------------------------
 
 
@@ -235,6 +205,20 @@ def test_path_between_reaches_target():
 def test_path_between_same_type():
     t = T("[a]<8>")
     assert apply_transform(path_between(t, t), t) == t
+
+
+def test_path_between_cancels_the_levels_both_types_share():
+    assert path_between(T("[a]<2><6>"), T("[a]<2><3><2>")) == TR("R 3 M ( S )")
+
+
+def test_path_between_equal_pairs_is_identity():
+    for t in ("(a,b)", "([a]<2><2>,[b]<4>)"):
+        assert path_between(T(t), T(t)) == IDENTITY
+
+
+def test_path_between_rejects_a_bare_leaf():
+    with pytest.raises(ShapeError, match="a is not a vector"):
+        path_between(A, T("[a]<1>"))
 
 
 def test_path_between_size_mismatch():
@@ -392,7 +376,7 @@ def test_closure_same_atom_same_size():
         t = random_type(rng, n)
         out = apply_transform(random_applicable_transform(rng, t, allow_wrap=False), t)
         assert total_size(out) == n
-        assert canonicalize(out)[1] == canonicalize(t)[1]
+        assert leaf_of(out) == leaf_of(t)
 
 
 def test_completeness_small_sizes():
