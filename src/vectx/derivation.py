@@ -20,17 +20,20 @@ its output type moved; those become the next stage's context.  The rules
 are one table, ``RULES``, keyed by stage kind and step kind; each rewrites a
 stage into a short run of stages:
 
-  map f      Increase:    map (map f), always preserved.
-             Decrease:    f' = head . f . replicate, preserved only when
-                          f is declared elementwise (then f' is just the
-                          declared element function).
-  foldl f    Increase:    fold the fold over each chunk, always preserved.
-             Decrease:    f' acc x = f acc (replicate k x), preserved only
-                          when f is a declared fold (then f' is the declared
-                          step function).
+  map f,     Increase:    f lifted to k-chunks, always preserved.
+  foldl f    Decrease:    h if f is declared as h lifted, else f wrapped to
+                          take each element replicated into a k-chunk;
+                          preserved only under that condition.
   zipt       Increase:    zipt then map zipt (zipt').
   unzipt     Increase:    map unzipt then unzipt (unzipt').
   otherwise  conjugate: the reshape that undoes the step, then the stage.
+
+The two chunk rules read one row per stage kind (``_CHUNK``):
+
+  map f      elementwise f and wrapelem f k, named f__m<k> and f__we<k>;
+             the condition f = map h; the step passes on.
+  foldl f    foldof f and wrapfold f k, named f__f<k> and f__wf<k>; the
+             condition f = foldl h; the step is consumed.
 
 A re-chunk reaches a ``map`` or ``foldl`` as two steps and takes the
 Decrease rule and then the Increase rule, so its verdict is the two
@@ -52,7 +55,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Union, get_args
+from typing import Callable, NamedTuple, Optional, Union, get_args
 
 from .errors import DerivationError, VectxError
 from .program_ir import (
@@ -73,6 +76,7 @@ from .program_ir import (
     ZiptStage,
     defn_sig,
     fresh_name,
+    print_stage,
     stage_output_type,
     typecheck,
 )
@@ -174,32 +178,19 @@ def expects_preservation(v: Verdict) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Function table for derived programs
-
-
-class _FnTable:
-    def __init__(self, base: dict[str, OpaqueFn]):
-        self.fns = dict(base)
-
-    def __getitem__(self, name: str) -> OpaqueFn:
-        return self.fns[name]
-
-    def ensure(self, fn: OpaqueFn) -> str:
-        """Insert fn, reusing an identical entry or renaming on collision."""
-        name = fn.name
-        if self.fns.get(name) == fn:
-            return name
-        while name in self.fns:
-            existing = self.fns[name]
-            if existing == replace(fn, name=name):
-                return name
-            name += "_"
-        self.fns[name] = replace(fn, name=name)
-        return name
-
-
-# ---------------------------------------------------------------------------
 # Per-stage rules
+
+
+def _ensure(fns: dict[str, OpaqueFn], fn: OpaqueFn) -> str:
+    """Add fn to fns and return its name there: an identical entry is reused,
+    and on a collision with another function ``_`` is appended to the name."""
+    name = fn.name
+    while name in fns:
+        if fns[name] == replace(fn, name=name):
+            return name
+        name += "_"
+    fns[name] = replace(fn, name=name)
+    return name
 
 
 @dataclass(frozen=True)
@@ -223,104 +214,82 @@ def _define(name: str, defn: FnDef, fn: OpaqueFn, k: int, error: str) -> OpaqueF
     return OpaqueFn(name, sig, defn)
 
 
-def _map_increase(
-    step: Increase, stage: MapStage, in_type: VecType, table: _FnTable
+class _Chunk(NamedTuple):
+    """The chunk rules' row for a stage kind (see the module docstring): how
+    f is lifted and wrapped, with name tags, the signature wrapping needs, the
+    condition that f is h lifted, and whether the step passes on."""
+
+    lift: type
+    lift_tag: str
+    wrap: type
+    wrap_tag: str
+    chunk_sig: str
+    condition: str
+    passes: bool
+
+
+_CHUNK = {
+    MapStage: _Chunk(
+        ElementwiseDef, "m", WrapElemDef, "we", "[t]<{k}> -> [t']<{k}>", "f = map h", True
+    ),
+    FoldStage: _Chunk(
+        FoldOfDef, "f", WrapFoldDef, "wf", "b -> [t]<{k}> -> b", "f = foldl h", False
+    ),
+}
+
+
+def _chunk_increase(
+    step: Increase, stage: Union[MapStage, FoldStage], in_type: VecType, fns: dict[str, OpaqueFn]
 ) -> StepResult:
-    fn, k = table[stage.fn], step.k
-    lifted = _define(
-        f"{fn.name}__m{k}",
-        ElementwiseDef(fn.name),
-        fn,
-        k,
-        f"cannot lift map {fn.name}: it does not take one argument",
-    )
-    return StepResult((MapStage(table.ensure(lifted)),), step, Preserved())
+    """f lifted to k-chunks: always preserved."""
+    row, fn, k = _CHUNK[type(stage)], fns[stage.fn], step.k
+    error = f"cannot lift {print_stage(stage)} to {k}-chunks"
+    lifted = _define(f"{fn.name}__{row.lift_tag}{k}", row.lift(fn.name), fn, k, error)
+    out_step = step if row.passes else None
+    return StepResult((replace(stage, fn=_ensure(fns, lifted)),), out_step, Preserved())
 
 
-def _map_decrease(
-    step: Decrease, stage: MapStage, in_type: VecType, table: _FnTable
+def _chunk_decrease(
+    step: Decrease, stage: Union[MapStage, FoldStage], in_type: VecType, fns: dict[str, OpaqueFn]
 ) -> StepResult:
-    fn, k = table[stage.fn], step.k
-    wrapped = _define(
-        f"{fn.name}__we{k}",
-        WrapElemDef(fn.name, k),
-        fn,
-        k,
-        f"cannot flatten map {fn.name}: its signature is not [t]<{k}> -> [t']<{k}>",
-    )
-    condition = "f = map h"
-    if isinstance(fn.defn, ElementwiseDef):
-        verdict = ConditionallyPreserved(condition, True)
-        return StepResult((MapStage(fn.defn.fn),), step, verdict)
-    return StepResult(
-        (MapStage(table.ensure(wrapped)),),
-        step,
-        ConditionallyPreserved(condition, False),
-    )
-
-
-def _fold_increase(
-    step: Increase, stage: FoldStage, in_type: VecType, table: _FnTable
-) -> StepResult:
-    fn, k = table[stage.fn], step.k
-    folded = _define(
-        f"{fn.name}__f{k}",
-        FoldOfDef(fn.name),
-        fn,
-        k,
-        f"cannot chunk fold {fn.name}: its signature is not b -> t -> b",
-    )
-    return StepResult((FoldStage(table.ensure(folded), stage.acc),), None, Preserved())
-
-
-def _fold_decrease(
-    step: Decrease, stage: FoldStage, in_type: VecType, table: _FnTable
-) -> StepResult:
-    fn, k = table[stage.fn], step.k
-    wrapped = _define(
-        f"{fn.name}__wf{k}",
-        WrapFoldDef(fn.name, k),
-        fn,
-        k,
-        f"cannot flatten fold {fn.name}: it does not consume [t]<{k}> chunks",
-    )
-    condition = "f = foldl h"
-    if isinstance(fn.defn, FoldOfDef):
-        verdict = ConditionallyPreserved(condition, True)
-        return StepResult((FoldStage(fn.defn.fn, stage.acc),), None, verdict)
-    return StepResult(
-        (FoldStage(table.ensure(wrapped), stage.acc),),
-        None,
-        ConditionallyPreserved(condition, False),
-    )
+    """h where f is declared as h lifted (the condition holds); otherwise f
+    wrapped to replicate into it and project (the condition does not hold)."""
+    row, fn, k = _CHUNK[type(stage)], fns[stage.fn], step.k
+    sig = row.chunk_sig.format(k=k)
+    error = f"cannot flatten {print_stage(stage)}: its signature is not {sig}"
+    wrapped = _define(f"{fn.name}__{row.wrap_tag}{k}", row.wrap(fn.name, k), fn, k, error)
+    satisfied = isinstance(fn.defn, row.lift)
+    name = fn.defn.fn if satisfied else _ensure(fns, wrapped)
+    verdict = ConditionallyPreserved(row.condition, satisfied)
+    return StepResult((replace(stage, fn=name),), step if row.passes else None, verdict)
 
 
 def _zipt_increase(
-    step: Increase, stage: ZiptStage, in_type: Pair, table: _FnTable
+    step: Increase, stage: ZiptStage, in_type: Pair, fns: dict[str, OpaqueFn]
 ) -> StepResult:
     k, e1, e2 = step.k, in_type.fst.element, in_type.snd.element
     pair_fn = OpaqueFn(
         "ztp", FnSig((Pair(Vec(k, e1), Vec(k, e2)),), Vec(k, Pair(e1, e2))), PrimDef("zipt")
     )
-    return StepResult((stage, MapStage(table.ensure(pair_fn))), step, Preserved())
+    return StepResult((stage, MapStage(_ensure(fns, pair_fn))), step, Preserved())
 
 
 def _unzipt_increase(
-    step: Increase, stage: UnziptStage, in_type: Vec, table: _FnTable
+    step: Increase, stage: UnziptStage, in_type: Vec, fns: dict[str, OpaqueFn]
 ) -> StepResult:
     k, e1, e2 = step.k, in_type.element.fst, in_type.element.snd
     unpair_fn = OpaqueFn(
         "uztp", FnSig((Vec(k, Pair(e1, e2)),), Pair(Vec(k, e1), Vec(k, e2))), PrimDef("unzipt")
     )
-    return StepResult((MapStage(table.ensure(unpair_fn)), stage), step, Preserved())
+    return StepResult((MapStage(_ensure(fns, unpair_fn)), stage), step, Preserved())
 
 
-def _conjugate(step: Step, stage: Stage, in_type: VecType, table: _FnTable) -> StepResult:
+def _conjugate(step: Step, stage: Stage, in_type: VecType, fns: dict[str, OpaqueFn]) -> StepResult:
     """Undo the input step, then run the original stage unchanged."""
     return StepResult((ReshapeStage(invert_step(step)), stage), None, Preserved())
 
 
-Rule = Callable[[Step, Stage, VecType, _FnTable], StepResult]
+Rule = Callable[[Step, Stage, VecType, dict[str, OpaqueFn]], StepResult]
 
 # (stage kind, step kind) -> (rule name, rule): the paper's derivation rules.
 RULES: dict[tuple[type, type], tuple[str, Rule]] = {
@@ -329,17 +298,17 @@ RULES: dict[tuple[type, type], tuple[str, Rule]] = {
         for kind in (ZiptStage, UnziptStage, ReshapeStage)
         for step_kind in get_args(Step)
     },
-    (MapStage, Increase): ("map-Increase", _map_increase),
-    (MapStage, Decrease): ("map-Decrease", _map_decrease),
-    (FoldStage, Increase): ("fold-Increase", _fold_increase),
-    (FoldStage, Decrease): ("fold-Decrease", _fold_decrease),
+    (MapStage, Increase): ("map-Increase", _chunk_increase),
+    (MapStage, Decrease): ("map-Decrease", _chunk_decrease),
+    (FoldStage, Increase): ("fold-Increase", _chunk_increase),
+    (FoldStage, Decrease): ("fold-Decrease", _chunk_decrease),
     (ZiptStage, Increase): ("zipt'", _zipt_increase),
     (UnziptStage, Increase): ("unzipt'", _unzipt_increase),
 }
 
 
 def derive_step(
-    step: Step, stages: tuple[Stage, ...], in_type: VecType, table: _FnTable
+    step: Step, stages: tuple[Stage, ...], in_type: VecType, fns: dict[str, OpaqueFn]
 ) -> StepResult:
     """Push a step through a run of stages, first to last, each rewritten by
     its ``RULES`` entry, until one consumes it.  ``in_type`` is the run's
@@ -353,9 +322,9 @@ def derive_step(
             out += stages[i:]
             break
         if i:
-            in_type = stage_output_type(stages[i - 1], in_type, table.fns)
+            in_type = stage_output_type(stages[i - 1], in_type, fns)
         name, rule = RULES[type(stage), type(step)]
-        res = rule(step, stage, in_type, table)
+        res = rule(step, stage, in_type, fns)
         out += res.stages
         verdicts.append(res.verdict)
         rules.append(name)
@@ -396,7 +365,7 @@ def derive(program: Program, tr: Transform) -> Derivation:
     """Infer the pipeline induced by transforming the program's input type."""
     typed = typecheck(program)
     input_steps = factor_transform(tr, program.input_type)
-    table = _FnTable(program.fns)
+    fns = dict(program.fns)
 
     cur_steps: list[Step] = list(input_steps)
     derived_stages: list[tuple[str, Stage]] = []
@@ -419,7 +388,7 @@ def derive(program: Program, tr: Transform) -> Derivation:
                     f"to {print_type(cur_in)}: {e}"
                 ) from e
             try:
-                res = derive_step(step, stages, cur_in, table)
+                res = derive_step(step, stages, cur_in, fns)
             except DerivationError as e:
                 raise DerivationError(f"stage {name}: {e}") from e
             stages = res.stages
@@ -452,7 +421,7 @@ def derive(program: Program, tr: Transform) -> Derivation:
     derived = Program(
         program.input_name,
         transformed_input,
-        table.fns,
+        fns,
         tuple(derived_stages),
         program.result_name,
     )
@@ -478,7 +447,7 @@ def derive(program: Program, tr: Transform) -> Derivation:
     boundary = Program(
         program.input_name,
         program.input_type,
-        table.fns,
+        fns,
         tuple(pre) + tuple(derived_stages) + tuple(post),
         program.result_name,
     )

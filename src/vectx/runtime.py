@@ -133,12 +133,15 @@ def _all_of(xs, cls: type) -> bool:
     return set(map(type, xs)) <= {cls}
 
 
-def random_value(t: VecType, rng: random.Random, lo: int = -99, hi: int = 99) -> Value:
-    """A value of type t with leaves drawn from [lo, hi].  Past ``MAX_LEAVES``
-    leaves it raises ``ShapeError``, before any draw."""
+LEAF_MIN, LEAF_MAX = -99, 99
+
+
+def random_value(t: VecType, rng: random.Random) -> Value:
+    """A value of type t with leaves drawn from [LEAF_MIN, LEAF_MAX].  Past
+    ``MAX_LEAVES`` leaves it raises ``ShapeError``, before any draw."""
     if _leaf_count(t) > MAX_LEAVES:
         raise ShapeError(f"a random value may have at most MAX_LEAVES = {MAX_LEAVES} leaves")
-    return _random_value(t, rng, lo, hi)
+    return _random_value(t, rng)
 
 
 def _leaf_count(t: VecType) -> int:
@@ -148,19 +151,19 @@ def _leaf_count(t: VecType) -> int:
     return t.size * _leaf_count(t.element) if isinstance(t, Vec) else 1
 
 
-def _random_value(t: VecType, rng: random.Random, lo: int, hi: int) -> Value:
+def _random_value(t: VecType, rng: random.Random) -> Value:
     if isinstance(t, Atom):
-        return rng.randint(lo, hi)
+        return rng.randint(LEAF_MIN, LEAF_MAX)
     if isinstance(t, Pair):
-        return TupVal(_random_value(t.fst, rng, lo, hi), _random_value(t.snd, rng, lo, hi))
+        return TupVal(_random_value(t.fst, rng), _random_value(t.snd, rng))
     if isinstance(t.element, Atom):
         randint = rng.randint
-        return VecVal(tuple([randint(lo, hi) for _ in range(t.size)]))
-    return VecVal(tuple([_random_value(t.element, rng, lo, hi) for _ in range(t.size)]))
+        return VecVal(tuple([randint(LEAF_MIN, LEAF_MAX) for _ in range(t.size)]))
+    return VecVal(tuple([_random_value(t.element, rng) for _ in range(t.size)]))
 
 
 # ---------------------------------------------------------------------------
-# Combinators
+# Value-level operations
 
 
 def reshape_to(k: int, v: Value) -> Value:

@@ -18,7 +18,7 @@ Transforms are sequences of primitive operations applied right to left:
     R^-1 m   move a factor m from the inner size to the outer size
     V k      wrap in a size-k vector (replication)
     V^-1 k   checked unwrap of a size-k vector
-    I        identity
+    I        identity: no operation (``I`` is the empty transform's text)
 
 ``S``, ``M`` and ``R`` never change the total size of a type; ``V`` does and
 is excluded from the size-invariance guarantees.  Every transform built from
@@ -159,11 +159,6 @@ class RegroupInv:
 
 
 @dataclass(frozen=True)
-class Ident:
-    pass
-
-
-@dataclass(frozen=True)
 class Wrap:
     """t becomes [t]<k>; grows the total size."""
 
@@ -185,7 +180,7 @@ class Unwrap:
             raise ValueError(f"wrap size must be >= 1, got {self.k}")
 
 
-TypeOp = Union[Lift, Unlift, MapElem, Regroup, RegroupInv, Ident, Wrap, Unwrap]
+TypeOp = Union[Lift, Unlift, MapElem, Regroup, RegroupInv, Wrap, Unwrap]
 
 
 @dataclass(frozen=True)
@@ -273,8 +268,6 @@ def _apply_op(op: TypeOp, t: VecType) -> VecType:
                 f"R^-1 {op.m}: inner size {t.element.size} is not a multiple of {op.m}"
             )
         return Vec(t.size * op.m, Vec(t.element.size // op.m, t.element.element))
-    if isinstance(op, Ident):
-        return t
     if isinstance(op, Wrap):
         return Vec(op.k, t)
     if isinstance(op, Unwrap):
@@ -309,8 +302,6 @@ def invert_op(op: TypeOp) -> TypeOp:
         return RegroupInv(op.m)
     if isinstance(op, RegroupInv):
         return Regroup(op.m)
-    if isinstance(op, Ident):
-        return Ident()
     if isinstance(op, Wrap):
         return Unwrap(op.k)
     if isinstance(op, Unwrap):
@@ -462,8 +453,6 @@ def print_op(op: TypeOp) -> str:
         return f"R {op.m}"
     if isinstance(op, RegroupInv):
         return f"R^-1 {op.m}"
-    if isinstance(op, Ident):
-        return "I"
     if isinstance(op, Wrap):
         return f"V {op.k}"
     if isinstance(op, Unwrap):
@@ -599,10 +588,9 @@ def _parse_ops(sc: _Scanner, depth: int = 0) -> list[TypeOp]:
             inverse = True
         if name == "S":
             ops.append(Unlift() if inverse else Lift())
-        elif name == "I":
+        elif name == "I":  # the identity, which is no operation
             if inverse:
                 raise ParseError("I has no inverse marker", column=sc.pos)
-            ops.append(Ident())
         elif name == "R":
             m = sc.positive("regroup factor")
             ops.append(RegroupInv(m) if inverse else Regroup(m))

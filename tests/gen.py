@@ -6,7 +6,6 @@ from vectx.errors import ShapeError
 from vectx.runtime import TupVal, VecVal
 from vectx.type_algebra import (
     Atom,
-    Ident,
     Lift,
     MapElem,
     Pair,
@@ -100,7 +99,7 @@ def random_structural_transform(rng: random.Random, depth: int = 0) -> Transform
         elif kind == 1:
             ops.append(Unlift())
         elif kind == 2:
-            ops.append(Ident())
+            pass  # I, the identity, is no operation
         elif kind == 3:
             ops.append(Regroup(rng.randint(1, 6)))
         elif kind == 4:
@@ -134,10 +133,10 @@ def random_applicable_transform(
         if allow_wrap:
             choices.append("wrap")
         pick = rng.choice(choices)
+        if pick == "ident":  # I, the identity, is no operation
+            continue
         if pick == "lift":
             op = Lift()
-        elif pick == "ident":
-            op = Ident()
         elif pick == "unlift":
             op = Unlift()
         elif pick == "regroup":

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from typing import get_args
 
@@ -10,7 +11,6 @@ from vectx.derivation import (
     Decrease,
     Increase,
     Preserved,
-    _FnTable,
     combine_verdicts,
     derive,
     derive_step,
@@ -202,7 +202,7 @@ def test_stage_records_name_the_rules_applied():
 
 def test_map_increase_lifts_function():
     p = map_program(6)
-    table = _FnTable(p.fns)
+    table = dict(p.fns)
     res = derive_step(Increase(2), (p.stages[0][1],), p.input_type, table)
     assert res.stages == (MapStage("f__m2"),)
     assert table["f__m2"].defn == ElementwiseDef("f")
@@ -212,7 +212,7 @@ def test_map_increase_lifts_function():
 
 def test_map_decrease_with_annotation_uses_element_function():
     p = parse_program(CHUNKED_MAP)
-    table = _FnTable(p.fns)
+    table = dict(p.fns)
     res = derive_step(Decrease(3), (p.stages[0][1],), p.input_type, table)
     assert res.stages == (MapStage("h"),)
     assert res.verdict == ConditionallyPreserved("f = map h", True)
@@ -220,7 +220,7 @@ def test_map_decrease_with_annotation_uses_element_function():
 
 def test_map_decrease_without_annotation_wraps():
     p = parse_program(CHUNKED_MAP_OPAQUE)
-    table = _FnTable(p.fns)
+    table = dict(p.fns)
     res = derive_step(Decrease(3), (p.stages[0][1],), p.input_type, table)
     assert res.stages == (MapStage("f__we3"),)
     assert table["f__we3"].defn == WrapElemDef("f", 3)
@@ -230,7 +230,7 @@ def test_map_decrease_without_annotation_wraps():
 def rechunk(p, k: int, n: int) -> tuple:
     """Decrease(k) through p's one stage, then Increase(n) through the run
     that returns: the two steps of a re-chunk from width k to width n."""
-    table = _FnTable(p.fns)
+    table = dict(p.fns)
     dec = derive_step(Decrease(k), (p.stages[0][1],), p.input_type, table)
     flat = step_apply(Decrease(k), p.input_type)
     return dec, derive_step(Increase(n), dec.stages, flat, table)
@@ -256,9 +256,19 @@ def test_map_repartition_reuses_function():
 
 def test_map_decrease_signature_mismatch():
     p = map_program(6)
-    table = _FnTable(p.fns)
+    table = dict(p.fns)
     with pytest.raises(DerivationError):
         derive_step(Decrease(2), (p.stages[0][1],), p.input_type, table)
+
+
+def test_flattening_a_chunk_map_that_changes_width_names_the_signature():
+    p = parse_program(
+        "input s :: [[a]<3>]<4>\nfn f :: [a]<3> -> a\nfn f = prim sum\n"
+        "stage g = map f\nresult r = g s\n"
+    )
+    with pytest.raises(DerivationError) as info:
+        derive(p, parse_transform("M ( S^-1 ) R^-1 3"))
+    assert str(info.value) == "stage g: cannot flatten map f: its signature is not [t]<3> -> [t']<3>"
 
 
 # -- fold rules -------------------------------------------------------------------
@@ -266,7 +276,7 @@ def test_map_decrease_signature_mismatch():
 
 def test_fold_increase_folds_the_fold():
     p = parse_program(FLAT_FOLD)
-    table = _FnTable(p.fns)
+    table = dict(p.fns)
     res = derive_step(Increase(2), (p.stages[0][1],), p.input_type, table)
     assert res.stages == (FoldStage("f__f2", 0),)
     assert res.out_step is None
@@ -275,7 +285,7 @@ def test_fold_increase_folds_the_fold():
 
 def test_fold_decrease_with_annotation():
     p = parse_program(CHUNKED_FOLD)
-    table = _FnTable(p.fns)
+    table = dict(p.fns)
     res = derive_step(Decrease(3), (p.stages[0][1],), p.input_type, table)
     assert res.stages == (FoldStage("h", 0),)
     assert res.verdict == ConditionallyPreserved("f = foldl h", True)
@@ -283,7 +293,7 @@ def test_fold_decrease_with_annotation():
 
 def test_fold_decrease_without_annotation():
     p = parse_program(CHUNKED_FOLD_OPAQUE)
-    table = _FnTable(p.fns)
+    table = dict(p.fns)
     res = derive_step(Decrease(3), (p.stages[0][1],), p.input_type, table)
     assert res.stages == (FoldStage("f__wf3", 0),)
     assert res.verdict == ConditionallyPreserved("f = foldl h", False)
@@ -301,7 +311,7 @@ def test_fold_repartition_is_decrease_then_increase():
 
 def test_zip_increase_is_map_zipt_after_zipt():
     p = parse_program(ZIP_PROGRAM)
-    table = _FnTable(p.fns)
+    table = dict(p.fns)
     res = derive_step(Increase(2), (p.stages[0][1],), p.input_type, table)
     assert res.stages == (ZiptStage(), MapStage("ztp"))
     assert res.verdict == Preserved()
@@ -487,6 +497,36 @@ def test_printed_programs_parse_back_equal():
         d = derive(p, tr)
         for q in (d.derived, d.boundary):
             assert parse_program(print_program(q)) == q
+
+
+def test_derivations_are_pinned():
+    # Seeded pipelines derived towards random targets: any change to a
+    # derived or boundary program, a verdict, a stage record or an error
+    # text changes the digest.
+    rng = random.Random(43)
+    cases = []
+    for _ in range(200):
+        n = rng.choice([6, 8, 12, 16, 24])
+        p = parse_program(random_program_text(rng, n))
+        cases.append((p, path_between(p.input_type, random_type(rng, n, max_dims=3))))
+    for i in range(12):
+        n = rng.choice([8, 12])
+        dims = random_factorization(rng, n, 3) if i % 3 == 0 else (n,)
+        target = random_factorization(rng, n, 3)
+        p = parse_program(zip_swap_program(dims))
+        pair = Pair(from_dims(Atom("a"), target), from_dims(Atom("b"), target))
+        cases.append((p, path_between(p.input_type, pair)))
+    digest = hashlib.sha256()
+    for p, tr in cases:
+        try:
+            d = derive(p, tr)
+        except DerivationError as e:
+            digest.update(f"error: {e}\n".encode())
+            continue
+        for part in (print_program(d.derived), print_program(d.boundary)):
+            digest.update(part.encode() + b"\n")
+        digest.update(f"{d.verdict!r}\n{d.stage_records!r}\n".encode())
+    assert digest.hexdigest() == "984084be5f616570b9a489b43ef6db2c9cffcd4fdde62669773cc18ef8fb797f"
 
 
 def test_derivation_type_invariants():

@@ -57,3 +57,42 @@ def test_no_unused_top_level_imports():
         if (names := unused_top_level_imports(path))
     }
     assert unused == {}
+
+
+def defined_names(node: ast.stmt) -> set[str]:
+    """The names a module-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {node.name}
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return {n.id for t in targets if t for n in ast.walk(t) if isinstance(n, ast.Name)}
+
+
+def read_names(node: ast.stmt) -> set[str]:
+    """The names a statement reads, as a name or as an attribute."""
+    names = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+    return names
+
+
+def test_no_unused_private_helpers():
+    # A module-level ``_name`` counts as read only outside the statement
+    # that defines it, so a recursive helper with no caller is caught too.
+    statements = [
+        (str(path.relative_to(ROOT)), node)
+        for path in sorted((ROOT / "src" / "vectx").glob("*.py"))
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+    ]
+    reads = [read_names(node) for _, node in statements]
+    unused = [
+        f"{module}: {name}"
+        for i, (module, node) in enumerate(statements)
+        for name in sorted(defined_names(node))
+        if name.startswith("_")
+        and not name.startswith("__")
+        and not any(name in r for j, r in enumerate(reads) if j != i)
+    ]
+    assert unused == []
