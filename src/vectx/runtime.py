@@ -2,11 +2,17 @@
 
 Values mirror types: a scalar is a plain Python ``int`` (its type exactly:
 a ``bool`` would print as ``True``), a pair a ``TupVal`` and a vector a
-``VecVal`` of uniformly shaped ``items``.  A vector stays a dataclass with an
-``items`` tuple, not a bare tuple or a flat leaf buffer, because callers
-rebuild one with ``dataclasses.replace(v, items=...)``.  Everything here is a
-pure function over immutable values, and comparisons of Python integers are
-exact, so semantic-preservation checks are bit-exact.
+``VecVal`` of uniformly shaped ``items``.  A pair is a ``tuple`` subclass, so
+``zipt`` and ``unzipt`` build and split a vector of pairs in C, with no Python
+frame per pair.  A vector stays a dataclass with an ``items`` tuple, not a
+bare tuple or a flat leaf buffer, because callers rebuild one with
+``dataclasses.replace(v, items=...)``.  Everything here is a pure function
+over immutable values, and comparisons of Python integers are exact, so
+semantic-preservation checks are bit-exact.
+
+``random_value`` draws all the leaves of a value in one C-level pass, and
+they are exactly the ``rng.randint(LEAF_MIN, LEAF_MAX)`` sequence, one call
+per leaf, so a seeded ``verify`` finds the same inputs and counterexamples.
 
 A value reshape is "flatten the leaves, rebuild at the target type".  ``S``,
 ``R`` and ``M`` re-partition the ordered leaves without reordering them, so
@@ -47,9 +53,11 @@ from __future__ import annotations
 
 import operator
 import random
+import re
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import accumulate, chain
+from itertools import accumulate, chain, islice, repeat
+from math import prod
 from typing import Callable, Optional, Union
 
 from .errors import (
@@ -91,10 +99,24 @@ class VecVal:
         return len(self.items)
 
 
-@dataclass(frozen=True)
-class TupVal:
-    fst: "Value"
-    snd: "Value"
+class TupVal(tuple):
+    """A pair value: the 2-tuple ``(fst, snd)``.  Being a tuple, a vector of
+    pairs is built and taken apart in C (``zipt``, ``unzipt``); a plain
+    tuple compares equal to it, but is not a pair value (``conforms``)."""
+
+    __slots__ = ()
+
+    def __new__(cls, fst: "Value", snd: "Value"):
+        return tuple.__new__(cls, (fst, snd))
+
+    def __getnewargs__(self):  # copy and pickle call __new__ with these
+        return tuple(self)
+
+    fst = property(operator.itemgetter(0))
+    snd = property(operator.itemgetter(1))
+
+    def __repr__(self):
+        return f"TupVal(fst={self[0]!r}, snd={self[1]!r})"
 
 
 Value = Union[int, VecVal, TupVal]
@@ -120,11 +142,10 @@ def _all_conform(nodes: list[Value], t: VecType) -> bool:
         nodes = list(chain.from_iterable([x.items for x in nodes]))
         t = t.element
     if isinstance(t, Pair):
-        return (
-            _all_of(nodes, TupVal)
-            and _all_conform([x.fst for x in nodes], t.fst)
-            and _all_conform([x.snd for x in nodes], t.snd)
-        )
+        if not _all_of(nodes, TupVal):
+            return False
+        firsts, seconds = _columns(nodes)
+        return _all_conform(firsts, t.fst) and _all_conform(seconds, t.snd)
     return _all_of(nodes, int)
 
 
@@ -133,15 +154,31 @@ def _all_of(xs, cls: type) -> bool:
     return set(map(type, xs)) <= {cls}
 
 
+def _columns(pairs) -> tuple[tuple[Value, ...], tuple[Value, ...]]:
+    """The first and the second parts of ``pairs``, each in order."""
+    return tuple(zip(*pairs)) or ((), ())
+
+
 LEAF_MIN, LEAF_MAX = -99, 99
+# A draw indexes this tuple rather than adding LEAF_MIN: every value then
+# shares these int objects, where a sum below -5 would be a new one per leaf.
+_LEAVES = tuple(range(LEAF_MIN, LEAF_MAX + 1))
+_LEAF_BITS = (len(_LEAVES) - 1).bit_length()
 
 
 def random_value(t: VecType, rng: random.Random) -> Value:
     """A value of type t with leaves drawn from [LEAF_MIN, LEAF_MAX].  Past
-    ``MAX_LEAVES`` leaves it raises ``ShapeError``, before any draw."""
-    if _leaf_count(t) > MAX_LEAVES:
+    ``MAX_LEAVES`` leaves it raises ``ShapeError``, before any draw.
+
+    The leaves are drawn first to last in one pass, by the rejection sampling
+    that CPython's ``randint`` does (``_randbelow_with_getrandbits``):
+    ``getrandbits`` until a draw is in range.  So they are, and leave ``rng``
+    in the state of, one ``randint(LEAF_MIN, LEAF_MAX)`` call per leaf."""
+    n = _leaf_count(t)
+    if n > MAX_LEAVES:
         raise ShapeError(f"a random value may have at most MAX_LEAVES = {MAX_LEAVES} leaves")
-    return _random_value(t, rng)
+    draws = filter(len(_LEAVES).__gt__, map(rng.getrandbits, repeat(_LEAF_BITS)))
+    return _build(t, map(_LEAVES.__getitem__, islice(draws, n)))
 
 
 def _leaf_count(t: VecType) -> int:
@@ -151,15 +188,23 @@ def _leaf_count(t: VecType) -> int:
     return t.size * _leaf_count(t.element) if isinstance(t, Vec) else 1
 
 
-def _random_value(t: VecType, rng: random.Random) -> Value:
+def _build(t: VecType, leaves) -> Value:
+    """The value of type t whose leaves, first to last, are taken from the
+    iterator ``leaves``."""
     if isinstance(t, Atom):
-        return rng.randint(LEAF_MIN, LEAF_MAX)
+        return next(leaves)
     if isinstance(t, Pair):
-        return TupVal(_random_value(t.fst, rng), _random_value(t.snd, rng))
-    if isinstance(t.element, Atom):
-        randint = rng.randint
-        return VecVal(tuple([randint(LEAF_MIN, LEAF_MAX) for _ in range(t.size)]))
-    return VecVal(tuple([_random_value(t.element, rng) for _ in range(t.size)]))
+        return TupVal(_build(t.fst, leaves), _build(t.snd, leaves))
+    sizes, e = [], t  # the spine of t, outermost first, and its element
+    while isinstance(e, Vec):
+        sizes.append(e.size)
+        e = e.element
+    count = prod(sizes)
+    if isinstance(e, Atom):
+        nodes = tuple(islice(leaves, count))
+    else:
+        nodes = tuple([_build(e, leaves) for _ in range(count)])
+    return _regroup(nodes, reversed(sizes))
 
 
 # ---------------------------------------------------------------------------
@@ -212,20 +257,15 @@ def zipt(v: Value) -> VecVal:
         raise LengthMismatchError(
             f"zipt: lengths {len(v.fst.items)} and {len(v.snd.items)} differ"
         )
-    return VecVal(tuple(TupVal(x, y) for x, y in zip(v.fst.items, v.snd.items)))
+    return VecVal(tuple(map(tuple.__new__, repeat(TupVal), zip(v.fst.items, v.snd.items))))
 
 
 def unzipt(v: Value) -> TupVal:
     """Vector of pairs -> pair of vectors."""
-    if not isinstance(v, VecVal):
+    if not isinstance(v, VecVal) or not _all_of(v.items, TupVal):
         raise ShapeError("unzipt needs a vector of pairs")
-    firsts, seconds = [], []
-    for item in v.items:
-        if not isinstance(item, TupVal):
-            raise ShapeError("unzipt needs a vector of pairs")
-        firsts.append(item.fst)
-        seconds.append(item.snd)
-    return TupVal(VecVal(tuple(firsts)), VecVal(tuple(seconds)))
+    firsts, seconds = _columns(v.items)
+    return TupVal(VecVal(firsts), VecVal(seconds))
 
 
 def apply_transform_value(tr: Transform, v: Value) -> Value:
@@ -259,9 +299,15 @@ def apply_transform_value(tr: Transform, v: Value) -> Value:
                 raise ShapeError(f"ragged value: expected a vector of length {n}")
             level += x.items
         leaves = tuple(level)
-    for n in rebuild:
-        leaves = tuple([VecVal(leaves[i : i + n]) for i in range(0, len(leaves), n)])
-    return leaves[0]
+    return _regroup(leaves, rebuild)
+
+
+def _regroup(nodes: tuple, sizes) -> Value:
+    """The value whose nodes ``len(sizes)`` vector levels down are ``nodes``,
+    first to last, with the vector lengths ``sizes``, innermost first."""
+    for n in sizes:
+        nodes = tuple([VecVal(nodes[i : i + n]) for i in range(0, len(nodes), n)])
+    return nodes[0]
 
 
 @lru_cache(maxsize=1024)
@@ -295,64 +341,79 @@ def print_value(v: Value) -> str:
     return "[" + ",".join(print_value(item) for item in v.items) + "]"
 
 
+_SPACE = re.compile(r"\s*")  # what str.isspace() calls space
+_INT = re.compile(r"-?\d+")  # \d is what str.isdecimal() accepts
+# A vector of plain integers, if int() reads each of its pieces: of "-",
+# digits and ",", int() reads exactly -?\d+.  A class, not a repeated group,
+# so that matching keeps no state per item.
+_RUN = re.compile(r"\[([-\d,]+)\]")
+
+
 def parse_value(text: str) -> Value:
-    v, pos = _parse_value(text, 0)
-    while pos < len(text) and text[pos].isspace():
-        pos += 1
-    if pos != len(text):
-        raise ParseError("trailing input after value", column=pos + 1)
-    return v
+    """The value a literal denotes, as ``print_value`` writes it; space may
+    stand between any two of its tokens.  It is read in one pass with an
+    explicit stack, so depth costs no recursion, and a vector of plain
+    integers with no space in it is read as one token."""
+    stack: list[tuple[str, list[Value]]] = []  # open literals: closing bracket, items so far
+    pos = 0
+    while True:
+        v, pos = _read_value(text, pos, stack)
+        while v is not None:  # v is whole: it is an item of the innermost open literal
+            if not stack:
+                pos = _SPACE.match(text, pos).end()
+                if pos != len(text):
+                    raise ParseError("trailing input after value", column=pos + 1)
+                return v
+            close, items = stack[-1]
+            items.append(v)
+            pos = _SPACE.match(text, pos).end()
+            sep = text[pos : pos + 1]
+            if sep == "," and (close == "]" or len(items) == 1):
+                v = None  # another item follows
+            elif close == "]":
+                if sep != "]":
+                    raise ParseError("expected , or ] in vector literal", column=pos + 1)
+                v = VecVal(tuple(items))
+                stack.pop()
+            elif len(items) == 1:
+                raise ParseError("expected , in pair literal", column=pos + 1)
+            elif sep != ")":
+                raise ParseError("expected ) in pair literal", column=pos + 1)
+            else:
+                v = TupVal(*items)
+                stack.pop()
+            pos += 1
 
 
-def _parse_value(text: str, pos: int, depth: int = 0) -> tuple[Value, int]:
-    while pos < len(text) and text[pos].isspace():
-        pos += 1
+def _read_value(text: str, pos: int, stack: list) -> tuple[Optional[Value], int]:
+    """Read the start of a value at ``pos``: a whole integer, empty vector
+    or vector of plain integers, or else the bracket opening a literal,
+    pushed on ``stack`` and read as ``None``."""
+    pos = _SPACE.match(text, pos).end()
     if pos >= len(text):
         raise ParseError("expected a value", column=pos + 1)
     ch = text[pos]
-    if ch == "[":
-        check_nesting(depth + 1, pos + 1)
-        pos += 1
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-        if pos < len(text) and text[pos] == "]":
-            return VecVal(()), pos + 1
-        items = []
-        while True:  # after a comma comes an item, so "[1,]" is an error at its "]"
-            item, pos = _parse_value(text, pos, depth + 1)
-            items.append(item)
-            while pos < len(text) and text[pos].isspace():
-                pos += 1
-            if pos < len(text) and text[pos] == ",":
-                pos += 1
-            elif pos < len(text) and text[pos] == "]":
-                return VecVal(tuple(items)), pos + 1
-            else:
-                raise ParseError("expected , or ] in vector literal", column=pos + 1)
-    if ch == "(":
-        check_nesting(depth + 1, pos + 1)
-        fst, pos = _parse_value(text, pos + 1, depth + 1)
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-        if pos >= len(text) or text[pos] != ",":
-            raise ParseError("expected , in pair literal", column=pos + 1)
-        snd, pos = _parse_value(text, pos + 1, depth + 1)
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-        if pos >= len(text) or text[pos] != ")":
-            raise ParseError("expected ) in pair literal", column=pos + 1)
-        return TupVal(fst, snd), pos + 1
-    start = pos
-    if ch == "-":
-        pos += 1
-    while pos < len(text) and text[pos].isdecimal():
-        pos += 1
-    if pos == start or text[start:pos] == "-":
-        raise ParseError(f"unexpected character {ch!r} in value", column=start + 1)
+    if ch == "(" or ch == "[":
+        check_nesting(len(stack) + 1, pos + 1)
+        if ch == "[":
+            run = _RUN.match(text, pos)
+            if run is not None:
+                try:  # through a list: a tuple of an iterator can keep a block too big
+                    return VecVal(tuple(list(map(int, run[1].split(","))))), run.end()
+                except ValueError:  # not integers, or one too long: read one by one for the error
+                    pass
+            end = _SPACE.match(text, pos + 1).end()
+            if text.startswith("]", end):
+                return VecVal(()), end + 1
+        stack.append(("]" if ch == "[" else ")", []))
+        return None, pos + 1
+    m = _INT.match(text, pos)
+    if m is None:
+        raise ParseError(f"unexpected character {ch!r} in value", column=pos + 1)
     try:
-        return int(text[start:pos]), pos
+        return int(m[0]), m.end()
     except ValueError as e:  # more digits than int() converts
-        raise ParseError(f"integer too long: {e}", column=start + 1) from None
+        raise ParseError(f"integer too long: {e}", column=pos + 1) from None
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +454,7 @@ _TABLE: dict[str, tuple[tuple[Optional[type], ...], Callable[..., Value]]] = {
     "dec_shift": ((int, int), lambda acc, x: 10 * acc + x),
     "sum": ((VecVal,), _sum),
     "reverse": ((VecVal,), lambda xs: VecVal(xs.items[::-1])),
-    "swap": ((TupVal,), lambda t: TupVal(t.snd, t.fst)),
+    "swap": ((TupVal,), lambda t: tuple.__new__(TupVal, t[::-1])),
     "add_head": ((None, VecVal), _add_head),
     "zipt": ((None,), zipt),
     "unzipt": ((None,), unzipt),

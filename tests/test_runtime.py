@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from functools import reduce
 
@@ -150,6 +152,32 @@ def test_random_value_draws_are_pinned():
     assert print_value(v) == "([[-17,-61,2],[67,-87,-81]],[38,-75])"
 
 
+def randint_value(t, rng):
+    """The reference draws: one ``rng.randint(LEAF_MIN, LEAF_MAX)`` per leaf,
+    first to last."""
+    if isinstance(t, Atom):
+        return rng.randint(runtime.LEAF_MIN, runtime.LEAF_MAX)
+    if isinstance(t, Pair):
+        return TupVal(randint_value(t.fst, rng), randint_value(t.snd, rng))
+    return VecVal(tuple(randint_value(t.element, rng) for _ in range(t.size)))
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[a]<1>", "[a]<2>", "[a]<3>", "[a]<199>", "[a]<1000>", "[a]<7777>", "[a]<3><5><7>",
+     "[[a]<64>]<64>", "([a]<3><2>,[b]<2>)", "[(a,[b]<2>)]<5>", "([a]<2500>,[[b]<5>]<500>)"],
+)
+def test_random_value_draws_are_randint_per_leaf(text):
+    # random_value draws by the rejection sampling of randint, a CPython
+    # detail: it must give the same leaves and leave the same state.
+    t = parse_type(text)
+    for seed in range(12):
+        rng, ref = random.Random(seed), random.Random(seed)
+        v = random_value(t, rng)
+        assert v == randint_value(t, ref) and conforms(v, t)
+        assert rng.getstate() == ref.getstate()
+
+
 def test_random_value_refuses_more_than_max_leaves_before_drawing():
     rng = random.Random(3)
     state = rng.getstate()
@@ -210,6 +238,32 @@ def test_unzipt_inverts_zipt():
 def test_zipt_length_mismatch():
     with pytest.raises(LengthMismatchError):
         zipt(TupVal(ints(1, 2), ints(3)))
+
+
+def test_zipt_and_unzipt_of_empty_vectors():
+    empty = VecVal(())
+    assert zipt(TupVal(empty, empty)) == empty
+    assert unzipt(empty) == TupVal(empty, empty)
+
+
+@pytest.mark.parametrize(
+    "v", [3, TupVal(ints(1), ints(2)), ints(1, 2), vv(TupVal(1, 2), (3, 4))], ids=repr
+)
+def test_unzipt_needs_a_vector_of_pairs(v):
+    with pytest.raises(ShapeError, match="^unzipt needs a vector of pairs$"):
+        unzipt(v)
+
+
+def test_a_pair_value_is_a_tuple_only_in_its_storage():
+    p = TupVal(1, ints(2, 3))
+    assert (p.fst, p.snd) == (1, ints(2, 3))
+    assert repr(p) == "TupVal(fst=1, snd=VecVal(items=(2, 3)))"
+    with pytest.raises(AttributeError):
+        p.fst = 4
+    assert TupVal(1, 2) != VecVal((1, 2))
+    assert not conforms((1, 2), Pair(Atom("a"), Atom("b")))
+    for q in (copy.copy(p), pickle.loads(pickle.dumps(p))):
+        assert q == p and type(q) is TupVal
 
 
 def test_nested_zipt_composition():
@@ -333,6 +387,22 @@ def test_parse_value_rejects_a_trailing_comma(text, column):
     assert text[column - 1] == "]"
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [("[1,,2]", "unexpected character ',' in value at column 4"),
+     ("[1-2]", "expected , or ] in vector literal at column 3"),
+     ("[--1]", "unexpected character '-' in value at column 2")],
+)
+def test_parse_value_errors_inside_a_vector_of_integers(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_value(text)
+    assert str(info.value) == message
+
+
+def test_parse_value_reads_space_between_any_tokens():
+    assert parse_value(" [ ( 1 , [ -2 ,3 ] ) , ( 4,[5 , 6]) ] ") == parse_value("[(1,[-2,3]),(4,[5,6])]")
+
+
 def test_parse_value_rejects_digits_int_cannot_read():
     with pytest.raises(ParseError) as info:
         parse_value("[²]")
@@ -359,6 +429,8 @@ def test_integers_past_the_conversion_limit_are_typed_errors():
     with pytest.raises(ParseError, match="at column 2") as info:
         parse_value("[" + "1" * 5000 + "]")
     assert isinstance(info.value, VectxError)
+    with pytest.raises(ParseError, match="integer too long.* at column 6$"):
+        parse_value("[1,2," + "1" * 5000 + ",3]")
     with pytest.raises(ShapeError, match="4300 digits"):
         print_value(vv(10**5000))
 
