@@ -36,6 +36,7 @@ from vectx.program_ir import (
 from vectx.runtime import (
     TupVal,
     eval_program,
+    print_value,
     random_value,
     reshape_to,
     zipt,
@@ -499,10 +500,9 @@ def test_printed_programs_parse_back_equal():
             assert parse_program(print_program(q)) == q
 
 
-def test_derivations_are_pinned():
-    # Seeded pipelines derived towards random targets: any change to a
-    # derived or boundary program, a verdict, a stage record or an error
-    # text changes the digest.
+def pinned_cases() -> list:
+    """Seeded pipelines, each with a transform towards a random target: 200
+    random pipelines and 12 ``zipt |> map swap |> unzipt`` over pairs."""
     rng = random.Random(43)
     cases = []
     for _ in range(200):
@@ -516,8 +516,14 @@ def test_derivations_are_pinned():
         p = parse_program(zip_swap_program(dims))
         pair = Pair(from_dims(Atom("a"), target), from_dims(Atom("b"), target))
         cases.append((p, path_between(p.input_type, pair)))
+    return cases
+
+
+def test_derivations_are_pinned():
+    # Any change to a derived or boundary program, a verdict, a stage record
+    # or an error text changes the digest.
     digest = hashlib.sha256()
-    for p, tr in cases:
+    for p, tr in pinned_cases():
         try:
             d = derive(p, tr)
         except DerivationError as e:
@@ -527,6 +533,24 @@ def test_derivations_are_pinned():
             digest.update(part.encode() + b"\n")
         digest.update(f"{d.verdict!r}\n{d.stage_records!r}\n".encode())
     assert digest.hexdigest() == "984084be5f616570b9a489b43ef6db2c9cffcd4fdde62669773cc18ef8fb797f"
+
+
+def test_verify_reports_are_pinned():
+    # Any change to the trials verify passes or fails, or to its first
+    # counterexample, changes the digest; no promised preservation loses a trial.
+    digest = hashlib.sha256()
+    for p, tr in pinned_cases():
+        try:
+            d = derive(p, tr)
+        except DerivationError:
+            continue
+        for seed in (0, 5):
+            rep = verify(d, trials=20, seed=seed)
+            assert not rep.hard_failure
+            cx = rep.first_counterexample or ()
+            parts = [str(rep.passes), str(rep.failures)] + [print_value(v) for v in cx]
+            digest.update(("|".join(parts) + "\n").encode())
+    assert digest.hexdigest() == "c940950346de9cf99c0c02605cb20b3843c0614e05bf671889ebfeaffc324115"
 
 
 def test_derivation_type_invariants():
