@@ -23,7 +23,8 @@ stage into a short run of stages:
   map f,     Increase:    f lifted to k-chunks, always preserved.
   foldl f    Decrease:    h if f is declared as h lifted, else f wrapped to
                           take each element replicated into a k-chunk;
-                          preserved only under that condition.
+                          preserved only under that condition, or at k = 1,
+                          where the wrapping is exact for any f.
   zipt       Increase:    zipt then map zipt (zipt').
   unzipt     Increase:    map unzipt then unzipt (unzipt').
   otherwise  conjugate: the reshape that undoes the step, then the stage.
@@ -46,9 +47,10 @@ a stage derived into several is named ``t_1``, ``t_2``, ...
 
 The resulting derivation records the core program (which consumes the
 transformed input), a boundary form wrapped in reshape stages so that it
-consumes the original input, the transform relating the two results, and a
-verdict.  ``verify`` replays both programs on seeded random inputs and
-compares exactly.
+consumes the original input and returns the original's result type, the
+steps relating the two results, and a verdict.  ``verify`` replays the
+original and boundary programs on seeded random inputs and compares their
+results exactly.
 """
 
 from __future__ import annotations
@@ -80,12 +82,7 @@ from .program_ir import (
     stage_output_type,
     typecheck,
 )
-from .runtime import (
-    Value,
-    apply_transform_value,
-    compile_program,
-    random_value,
-)
+from .runtime import Value, compile_program, random_value
 from .type_algebra import (
     Decrease,
     Increase,
@@ -96,13 +93,11 @@ from .type_algebra import (
     VecType,
     apply_transform,
     invert_step,
-    invert_transform,
     print_op,
     print_step,
     print_type,
     step_apply,
     steps_between,
-    steps_to_transform,
     wrap_op,
 )
 
@@ -253,14 +248,15 @@ def _chunk_decrease(
     step: Decrease, stage: Union[MapStage, FoldStage], in_type: VecType, fns: dict[str, OpaqueFn]
 ) -> StepResult:
     """h where f is declared as h lifted (the condition holds); otherwise f
-    wrapped to replicate into it and project (the condition does not hold)."""
+    wrapped to replicate into it and project (the condition does not hold;
+    it counts as holding at k = 1, where the wrapping is exact for any f)."""
     row, fn, k = _CHUNK[type(stage)], fns[stage.fn], step.k
     sig = row.chunk_sig.format(k=k)
     error = f"cannot flatten {print_stage(stage)}: its signature is not {sig}"
     wrapped = _define(f"{fn.name}__{row.wrap_tag}{k}", row.wrap(fn.name, k), fn, k, error)
-    satisfied = isinstance(fn.defn, row.lift)
-    name = fn.defn.fn if satisfied else _ensure(fns, wrapped)
-    verdict = ConditionallyPreserved(row.condition, satisfied)
+    lifted = isinstance(fn.defn, row.lift)
+    name = fn.defn.fn if lifted else _ensure(fns, wrapped)
+    verdict = ConditionallyPreserved(row.condition, lifted or k == 1)
     return StepResult((replace(stage, fn=name),), step if row.passes else None, verdict)
 
 
@@ -351,11 +347,9 @@ class StageRecord:
 @dataclass(frozen=True)
 class Derivation:
     original: Program
-    input_transform: Transform
     input_steps: tuple[Step, ...]
     derived: Program
     boundary: Program
-    output_transform: Transform
     output_steps: tuple[Step, ...]
     verdict: Verdict
     stage_records: tuple[StageRecord, ...]
@@ -426,16 +420,6 @@ def derive(program: Program, tr: Transform) -> Derivation:
         program.result_name,
     )
 
-    derived_typed = typecheck(derived)
-    expected_result = apply_transform(
-        steps_to_transform(output_steps), typed.result_type
-    )
-    if derived_typed.result_type != expected_result:
-        raise DerivationError(
-            f"internal: derived result type {print_type(derived_typed.result_type)} "
-            f"does not match transformed original {print_type(expected_result)}"
-        )
-
     pre = [
         (fresh_name(f"pre_{i}", used), ReshapeStage(step))
         for i, step in enumerate(input_steps, start=1)
@@ -451,14 +435,20 @@ def derive(program: Program, tr: Transform) -> Derivation:
         tuple(pre) + tuple(derived_stages) + tuple(post),
         program.result_name,
     )
+    # The pre_i steps reach derived.input_type (factor_transform checks it),
+    # so this types the derived stages too.
+    boundary_result = typecheck(boundary).result_type
+    if boundary_result != typed.result_type:
+        raise DerivationError(
+            f"internal: boundary result type {print_type(boundary_result)} "
+            f"does not match the original's {print_type(typed.result_type)}"
+        )
 
     return Derivation(
         original=program,
-        input_transform=tr,
         input_steps=input_steps,
         derived=derived,
         boundary=boundary,
-        output_transform=steps_to_transform(output_steps),
         output_steps=output_steps,
         verdict=verdict,
         stage_records=tuple(records),
@@ -483,25 +473,23 @@ class VerifyReport:
 
 
 def verify(d: Derivation, trials: int = 100, seed: int = 0) -> VerifyReport:
-    """Compare original and derived programs on seeded random inputs.
+    """Replay the original and boundary programs on seeded random inputs of
+    the original's input type and compare their results exactly.
 
-    Each program is compiled once, before the first trial.  The derived
-    result is mapped back through the inverse of the output transform
-    before comparison; equality is exact.
+    The boundary program is the derived one between the reshapes of its
+    input and output types, so it is the derivation's claim as it runs.
+    Each program is compiled once, before the first trial.
     """
     if trials < 0:
         raise VectxError(f"verify needs trials >= 0, got {trials}")
     rng = random.Random(seed)
-    inverse_out = invert_transform(d.output_transform)
     run_original = compile_program(d.original)
-    run_derived = compile_program(d.derived)
+    run_boundary = compile_program(d.boundary)
     passes = 0
     first = None
     for _ in range(trials):
         v = random_value(d.original.input_type, rng)
-        lhs = run_original(v)
-        transformed = apply_transform_value(d.input_transform, v)
-        rhs = apply_transform_value(inverse_out, run_derived(transformed))
+        lhs, rhs = run_original(v), run_boundary(v)
         if lhs == rhs:
             passes += 1
         elif first is None:

@@ -17,7 +17,6 @@ from vectx.derivation import (
     expects_preservation,
     factor_transform,
     step_apply,
-    steps_to_transform,
     verify,
 )
 from vectx.errors import DerivationError, ShapeError, VectxError
@@ -53,6 +52,7 @@ from vectx.type_algebra import (
     path_between,
     print_type,
     steps_between,
+    steps_to_transform,
 )
 
 # -- factoring -----------------------------------------------------------------
@@ -387,7 +387,7 @@ def test_derive_identity_is_unchanged():
     d = derive(p, parse_transform("I"))
     assert d.derived.stages == p.stages
     assert d.verdict == Preserved()
-    assert d.output_transform.ops == ()
+    assert d.output_steps == ()
 
 
 def test_verify_refuses_inputs_past_max_leaves():
@@ -421,7 +421,7 @@ result r = m |> t s
         ("m", MapStage("f__m2")),
         ("t", FoldStage("g__f2", 0)),
     )
-    assert d.output_transform.ops == ()
+    assert d.output_steps == ()
     rep = verify(d, trials=100, seed=13)
     assert rep.passes == 100 and not rep.hard_failure
 
@@ -532,7 +532,7 @@ def test_derivations_are_pinned():
         for part in (print_program(d.derived), print_program(d.boundary)):
             digest.update(part.encode() + b"\n")
         digest.update(f"{d.verdict!r}\n{d.stage_records!r}\n".encode())
-    assert digest.hexdigest() == "984084be5f616570b9a489b43ef6db2c9cffcd4fdde62669773cc18ef8fb797f"
+    assert digest.hexdigest() == "61d1e7ba281f664b9c8ba90720cf9b9ac23aac225a10dd7250416bf0780c1a10"
 
 
 def test_verify_reports_are_pinned():
@@ -566,7 +566,7 @@ def test_derivation_type_invariants():
             continue
         assert d.derived.input_type == apply_transform(tr, p.input_type)
         assert typecheck(d.derived).result_type == apply_transform(
-            d.output_transform, typecheck(p).result_type
+            steps_to_transform(d.output_steps), typecheck(p).result_type
         )
 
 
@@ -595,6 +595,30 @@ def test_verify_map_decrease_satisfied_passes():
     assert d.verdict == ConditionallyPreserved("f = map h", True)
     rep = verify(d, trials=100, seed=42)
     assert rep.passes == 100
+
+
+def test_verify_fold_decrease_satisfied_passes():
+    d = derive(parse_program(CHUNKED_FOLD), parse_transform("M ( S^-1 ) R^-1 3"))
+    assert d.verdict == ConditionallyPreserved("f = foldl h", True)
+    rep = verify(d, trials=100, seed=42)
+    assert rep.passes == 100
+
+
+@pytest.mark.parametrize(
+    "text, wrapped, condition",
+    [(CHUNKED_MAP_OPAQUE, "f__we1", "f = map h"), (CHUNKED_FOLD_OPAQUE, "f__wf1", "f = foldl h")],
+    ids=["map", "foldl"],
+)
+def test_flattening_one_wide_chunks_promises_preservation(text, wrapped, condition):
+    # At width 1, wrapelem f 1 and wrapfold f 1 are exact for any f, even an
+    # opaque reverse or add_head.
+    p = parse_program(text.replace("[a]<3>", "[a]<1>").replace("<4>", "<6>"))
+    assert p.input_type == parse_type("[[a]<1>]<6>")
+    d = derive(p, parse_transform("M ( S^-1 ) R^-1 1"))
+    assert d.derived.stages[0][1].fn == wrapped
+    assert d.verdict == ConditionallyPreserved(condition, True)
+    rep = verify(d, trials=100, seed=42)
+    assert rep.passes == 100 and not rep.hard_failure
 
 
 def test_verify_fold_increase_with_noncommutative_step():
