@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from functools import reduce
 
 import pytest
@@ -171,6 +172,216 @@ def test_reshape_stage_typing_errors(input_type, stages):
     text = f"input s :: {input_type}\nstage t = {stages}\nresult r = t s\n"
     with pytest.raises(StageTypeError, match="stage t"):
         typecheck(parse_program(text))
+
+
+# Program texts for the error tables, one line per "; "-separated part.
+IN = "input s :: [a]<4>; "
+F = IN + "fn f :: a -> a; "
+G = F + "stage g = map f; "
+
+
+def lines(text):
+    return text.replace("; ", "\n").strip() + "\n"
+
+
+# Each ParseError that parse_program raises: the text, the error class and
+# the full message.
+PROGRAM_PARSE_ERRORS = [
+    (IN + "input t :: [a]<4>; result r = s", ParseError, "duplicate input line at line 2"),
+    ("input s [a]<4>; result r = s", ParseError, "input needs '<name> :: <type>' at line 1"),
+    (
+        "input s :: [a]<0>; result r = s",
+        ParseError,
+        "bad input type: size must be >= 1, got 0 at column 5 at line 1",
+    ),
+    (IN + "fn f :: a", ParseError, "signature needs at least one -> at line 2"),
+    (
+        IN + "fn f :: a -> [a",
+        ParseError,
+        "bad type in signature: expected ']' at column 3 at line 2",
+    ),
+    (F + "fn f :: a -> a", ParseError, "duplicate signature for f at line 3"),
+    (IN + "fn f =", ParseError, "empty function definition at line 2"),
+    (F + "fn f = prim add1; fn f = prim add1", ParseError, "duplicate definition for f at line 4"),
+    (F + "fn f = lift add1", ParseError, "bad function definition 'lift add1' at line 3"),
+    (F + "fn f = prim", ParseError, "bad function definition 'prim' at line 3"),
+    (F + "fn f = prim add1 add2", ParseError, "bad function definition 'prim add1 add2' at line 3"),
+    (F + "fn f = elementwise", ParseError, "bad function definition 'elementwise' at line 3"),
+    (F + "fn f = foldof h h", ParseError, "bad function definition 'foldof h h' at line 3"),
+    (F + "fn f = wrapelem h", ParseError, "bad function definition 'wrapelem h' at line 3"),
+    (F + "fn f = wrapfold h 2 2", ParseError, "bad function definition 'wrapfold h 2 2' at line 3"),
+    (F + "fn f = wrapelem h 0", ParseError, "wrapelem needs a size >= 1 at line 3"),
+    (IN + "fn f", ParseError, "fn line needs '::' or '=' at line 2"),
+    (IN + "stage g map f", ParseError, "stage line needs '=' at line 2"),
+    (G + "stage g = map f", ParseError, "duplicate stage g at line 4"),
+    (IN + "result r = s; result q = s", ParseError, "duplicate result line at line 3"),
+    (IN + "result r s", ParseError, "result line needs '=' at line 2"),
+    (IN + "output q = s", ParseError, "unknown directive 'output' at line 2"),
+    ("fn f :: a -> a; result r = s", ParseError, "missing input line"),
+    (
+        IN + "fn f = prim add1; result r = s",
+        ParseError,
+        "function f has a definition but no signature",
+    ),
+    (
+        F + "fn f = elementwise h; result r = s",
+        ParseError,
+        "function f refers to undeclared function h",
+    ),
+    (G, ParseError, "missing result line"),
+    (G + "result r = g s t", ParseError, "result must end with '<stage> <input-name>' at line 4"),
+    (G + "result r = g |> s", ParseError, "result must end with '<stage> <input-name>' at line 4"),
+    (G + "result r = g t", ParseError, "result applies to 't' but the input is 's' at line 4"),
+    (G + "result r = g |> h s", ParseError, "undeclared stage 'h' at line 4"),
+    (G + "stage h = map f; result r = g s", ParseError, "stages never used in result: h"),
+    (IN + "stage g =; result r = g s", ParseError, "empty stage definition at line 2"),
+    (IN + "stage g = map f; result r = g s", ParseError, "undeclared function 'f' at line 2"),
+    (
+        F + "stage g = foldl f; result r = g s",
+        ParseError,
+        "foldl needs a function and an accumulator at line 3",
+    ),
+    (IN + "stage g = foldl f 0; result r = g s", ParseError, "undeclared function 'f' at line 2"),
+    (
+        F + "stage g = foldl f [0,; result r = g s",
+        ParseError,
+        "bad accumulator literal: expected a value at column 4 at line 3",
+    ),
+    (IN + "stage g = scan f; result r = g s", ParseError, "unknown stage kind 'scan' at line 2"),
+    (
+        IN + "stage g = reshapeTo 0; result r = g s",
+        ParseError,
+        "reshapeTo needs a size >= 1 at line 2",
+    ),
+    (
+        IN + "stage g = reshapeFrom x; result r = g s",
+        ParseError,
+        "reshapeFrom needs an integer at line 2",
+    ),
+]
+
+
+@pytest.mark.parametrize("text, error, message", PROGRAM_PARSE_ERRORS)
+def test_parse_program_error_texts(text, error, message):
+    with pytest.raises(error) as info:
+        parse_program(lines(text))
+    assert str(info.value) == message
+
+
+# Each StageTypeError that typecheck raises: the text, the error class and
+# the full message.
+TYPECHECK_ERRORS = [
+    (
+        "input s :: a; fn f :: a -> a; stage g = map f; result r = g s",
+        StageTypeError,
+        "stage g: map needs a vector input, got a",
+    ),
+    (
+        IN + "fn f :: a -> a -> a; stage g = map f; result r = g s",
+        StageTypeError,
+        "stage g: map function f must take one argument",
+    ),
+    (
+        IN + "fn f :: b -> b; stage g = map f; result r = g s",
+        StageTypeError,
+        "stage g: map function f takes b but elements are a",
+    ),
+    (
+        "input s :: a; fn f :: b -> a -> b; stage g = foldl f 0; result r = g s",
+        StageTypeError,
+        "stage g: foldl needs a vector input, got a",
+    ),
+    (
+        IN + "fn f :: a -> a; stage g = foldl f 0; result r = g s",
+        StageTypeError,
+        "stage g: fold function f must take two arguments",
+    ),
+    (
+        IN + "fn f :: b -> a -> a; stage g = foldl f 0; result r = g s",
+        StageTypeError,
+        "stage g: fold function f must return its accumulator type",
+    ),
+    (
+        IN + "fn f :: b -> b -> b; stage g = foldl f 0; result r = g s",
+        StageTypeError,
+        "stage g: fold function f consumes b but elements are a",
+    ),
+    (
+        IN + "fn f :: [b]<2> -> a -> [b]<2>; stage g = foldl f 0; result r = g s",
+        StageTypeError,
+        "stage g: accumulator 0 does not conform to [b]<2>",
+    ),
+    (
+        IN + "stage z = zipt; result r = z s",
+        StageTypeError,
+        "stage z: zipt needs a pair of vectors, got [a]<4>",
+    ),
+    (
+        "input s :: (a,[b]<4>); stage z = zipt; result r = z s",
+        StageTypeError,
+        "stage z: zipt needs a pair of vectors, got (a,[b]<4>)",
+    ),
+    (
+        "input s :: ([a]<4>,[b]<3>); stage z = zipt; result r = z s",
+        StageTypeError,
+        "stage z: zipt needs equal lengths, got 4 and 3",
+    ),
+    (
+        IN + "stage u = unzipt; result r = u s",
+        StageTypeError,
+        "stage u: unzipt needs a vector of pairs, got [a]<4>",
+    ),
+    (
+        "input s :: ([a]<4>,[b]<4>); stage u = unzipt; result r = u s",
+        StageTypeError,
+        "stage u: unzipt needs a vector of pairs, got ([a]<4>,[b]<4>)",
+    ),
+    (
+        IN + "stage t = reshapeTo 3; result r = t s",
+        StageTypeError,
+        "stage t: reshapeTo 3: op R 3 at position 0: R 3: outer size 4 is not a multiple of 3",
+    ),
+    (
+        IN + "fn f :: a -> a -> a; fn f = prim add1; result r = s",
+        StageTypeError,
+        "fn f: primitive add1 takes 1 arguments but the signature has 2",
+    ),
+    (
+        IN + "fn h :: a -> a; fn f :: [a]<2> -> [a]<3>; fn f = elementwise h; result r = s",
+        StageTypeError,
+        "fn f: elementwise h needs signature [a]<k> -> [a]<k>",
+    ),
+    (
+        IN + "fn h :: b -> a -> b; fn f :: b -> [a]<2> -> a; fn f = foldof h; result r = s",
+        StageTypeError,
+        "fn f: foldof h needs signature b -> [a]<k> -> b",
+    ),
+    (
+        IN + "fn h :: [a]<2> -> [a]<2>; fn f :: a -> b; fn f = wrapelem h 2; result r = s",
+        StageTypeError,
+        "fn f: wrapelem signature mismatch",
+    ),
+    (
+        IN + "fn h :: b -> [a]<3> -> b; fn f :: b -> a -> b; fn f = wrapfold h 2; result r = s",
+        StageTypeError,
+        "fn f: wrapfold signature mismatch",
+    ),
+]
+
+
+@pytest.mark.parametrize("text, error, message", TYPECHECK_ERRORS)
+def test_typecheck_error_texts(text, error, message):
+    with pytest.raises(error) as info:
+        typecheck(parse_program(lines(text)))
+    assert str(info.value) == message
+
+
+def test_typecheck_names_a_definition_over_an_unknown_function():
+    """``parse_program`` rejects such a table first, so build one directly."""
+    p = parse_program(lines(F + "fn h :: a -> a; fn f = elementwise h; result r = s"))
+    with pytest.raises(StageTypeError) as info:
+        typecheck(replace(p, fns={"f": p.fns["f"]}))
+    assert str(info.value) == "fn f: unknown function h"
 
 
 def test_undeclared_function_is_parse_error():

@@ -326,6 +326,30 @@ def test_parse_rejects_digits_int_cannot_read(parse, text, message):
     assert str(info.value) == message
 
 
+# Each ParseError of the type and transform parsers: the parser, the text,
+# the error class and the full message.
+PARSE_ERRORS = [
+    (parse_type, "[a<2>", ParseError, "expected ']' at column 3"),
+    (parse_type, "(a b)", ParseError, "expected ',' at column 4"),
+    (parse_type, "[a]", ParseError, "expected at least one <size> at column 4"),
+    (parse_type, "[a]<2", ParseError, "expected '>' at column 6"),
+    (parse_transform, "S^1", ParseError, "expected -1 after ^ at column 3"),
+    (parse_transform, "I^-1", ParseError, "I has no inverse marker at column 4"),
+    (parse_transform, "M^-1 ( S )", ParseError, "write M ( F^-1 ) rather than M^-1 at column 4"),
+    (parse_transform, "Q 2", ParseError, "unknown operation 'Q' at column 2"),
+    (parse_transform, "S )", ParseError, "trailing input after transform at column 3"),
+    (parse_transform, "M ( S", ParseError, "expected ')' at column 6"),
+    (parse_transform, "M S", ParseError, "expected '(' at column 3"),
+]
+
+
+@pytest.mark.parametrize("parse, text, error, message", PARSE_ERRORS)
+def test_parse_error_texts(parse, text, error, message):
+    with pytest.raises(error) as info:
+        parse(text)
+    assert str(info.value) == message
+
+
 types = st.recursive(
     st.sampled_from(["a", "b", "x_1"]).map(Atom),
     lambda kids: st.one_of(
