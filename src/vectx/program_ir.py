@@ -11,14 +11,15 @@ A program file is line-oriented:
              | wrapfold <h> <k>       # acc, x -> h acc (replicate k x)
     stage <name> = map <f>
                  | foldl <f> <literal-acc>
-                 | zipt | unzipt
+                 | zipt | unzipt      # no argument
                  | reshapeTo <k> | reshapeFrom <k>
     result <name> = <stage> [|> <stage> ...] <input-name>
 
-Blank lines and ``#`` comments are ignored.  Stages run left to right.
-Functions are opaque to everything except the interpreter: only their
-signatures and declared structure (``elementwise``/``foldof``) matter to
-the derivation rules.
+Blank lines and ``#`` comments are ignored.  Stages run left to right, and
+each declared stage appears exactly once in ``result``.  Functions are
+opaque to everything except the interpreter: only their signatures and
+declared structure (``elementwise``/``foldof``) matter to the derivation
+rules.
 """
 
 from __future__ import annotations
@@ -78,6 +79,17 @@ class WrapFoldDef:
 
 
 FnDef = Union[PrimDef, ElementwiseDef, FoldOfDef, WrapElemDef, WrapFoldDef]
+
+# Each definition's keyword, its class, and the number of words after the
+# keyword: a function name, then a size for a wrapper.
+_DEFNS = {
+    "prim": (PrimDef, 1),
+    "elementwise": (ElementwiseDef, 1),
+    "foldof": (FoldOfDef, 1),
+    "wrapelem": (WrapElemDef, 2),
+    "wrapfold": (WrapFoldDef, 2),
+}
+_DEFN_KEYWORD = {cls: keyword for keyword, (cls, _) in _DEFNS.items()}
 
 
 @dataclass(frozen=True)
@@ -146,6 +158,17 @@ class ComposedStage:
 
 
 Stage = Union[MapStage, FoldStage, ZiptStage, UnziptStage, ReshapeStage]
+
+# Each stage keyword and the stage class it names; a reshape's names its step.
+_STAGES = {
+    "map": MapStage,
+    "foldl": FoldStage,
+    "zipt": ZiptStage,
+    "unzipt": UnziptStage,
+    "reshapeTo": Increase,
+    "reshapeFrom": Decrease,
+}
+_STAGE_KEYWORD = {cls: keyword for keyword, cls in _STAGES.items()}
 
 
 @dataclass(frozen=True)
@@ -252,17 +275,17 @@ def _check_fn(fn: OpaqueFn, fns: dict[str, OpaqueFn]):
     k = last.size if isinstance(last, Vec) else 1
     if fn.sig == defn_sig(d, h.sig, k):
         return
+    kind = _DEFN_KEYWORD[type(d)]
     args = h.sig.args
     if isinstance(d, ElementwiseDef) and len(args) == 1:
         raise StageTypeError(
-            f"fn {fn.name}: elementwise {h.name} needs signature "
+            f"fn {fn.name}: {kind} {h.name} needs signature "
             f"[{print_type(args[0])}]<k> -> [{print_type(h.sig.ret)}]<k>"
         )
     if isinstance(d, FoldOfDef) and len(args) == 2:
         raise StageTypeError(
-            f"fn {fn.name}: foldof {h.name} needs signature b -> [{print_type(args[1])}]<k> -> b"
+            f"fn {fn.name}: {kind} {h.name} needs signature b -> [{print_type(args[1])}]<k> -> b"
         )
-    kind = _print_defn(d).split()[0]
     raise StageTypeError(f"fn {fn.name}: {kind} signature mismatch")
 
 
@@ -312,14 +335,15 @@ def _parse_stage(rest: str, fns: dict[str, OpaqueFn], line_no: int) -> Stage:
         raise ParseError("empty stage definition", line=line_no)
     kind = words[0]
     arg = words[1].strip() if len(words) > 1 else ""
-    if kind == "map":
+    cls = _STAGES.get(kind)
+    if cls is MapStage:
         if arg not in fns:
             raise ParseError(f"undeclared function {arg!r}", line=line_no)
         return MapStage(arg)
-    if kind == "foldl":
+    if cls is FoldStage:
         sub = arg.split(None, 1)
         if len(sub) != 2:
-            raise ParseError("foldl needs a function and an accumulator", line=line_no)
+            raise ParseError(f"{kind} needs a function and an accumulator", line=line_no)
         if sub[0] not in fns:
             raise ParseError(f"undeclared function {sub[0]!r}", line=line_no)
         try:
@@ -327,14 +351,13 @@ def _parse_stage(rest: str, fns: dict[str, OpaqueFn], line_no: int) -> Stage:
         except ParseError as e:
             raise ParseError(f"bad accumulator literal: {e}", line=line_no)
         return FoldStage(sub[0], acc)
-    if kind == "zipt":
-        return ZiptStage()
-    if kind == "unzipt":
-        return UnziptStage()
-    if kind in ("reshapeTo", "reshapeFrom"):
-        k = _parse_size(arg, kind, line_no)
-        return ReshapeStage(Increase(k) if kind == "reshapeTo" else Decrease(k))
-    raise ParseError(f"unknown stage kind {kind!r}", line=line_no)
+    if cls in (Increase, Decrease):
+        return ReshapeStage(cls(_parse_size(arg, kind, line_no)))
+    if cls is None:
+        raise ParseError(f"unknown stage kind {kind!r}", line=line_no)
+    if arg:
+        raise ParseError(f"{kind} takes no argument", line=line_no)
+    return cls()
 
 
 def parse_program(text: str) -> Program:
@@ -345,7 +368,6 @@ def parse_program(text: str) -> Program:
     defs: dict[str, FnDef] = {}
     order: list[str] = []
     stage_bodies: dict[str, tuple[str, int]] = {}
-    stage_order: list[str] = []
     result = None
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -384,18 +406,10 @@ def parse_program(text: str) -> Program:
                 kind = words[0]
                 if name in defs:
                     raise ParseError(f"duplicate definition for {name}", line=line_no)
-                if kind == "prim" and len(words) == 2:
-                    defs[name] = PrimDef(words[1])
-                elif kind == "elementwise" and len(words) == 2:
-                    defs[name] = ElementwiseDef(words[1])
-                elif kind == "foldof" and len(words) == 2:
-                    defs[name] = FoldOfDef(words[1])
-                elif kind == "wrapelem" and len(words) == 3:
-                    defs[name] = WrapElemDef(words[1], _parse_size(words[2], kind, line_no))
-                elif kind == "wrapfold" and len(words) == 3:
-                    defs[name] = WrapFoldDef(words[1], _parse_size(words[2], kind, line_no))
-                else:
+                cls, width = _DEFNS.get(kind, (None, 0))
+                if cls is None or len(words) != 1 + width:
                     raise ParseError(f"bad function definition {body.strip()!r}", line=line_no)
+                defs[name] = cls(words[1], *(_parse_size(w, kind, line_no) for w in words[2:]))
                 if name not in order:
                     order.append(name)
             else:
@@ -409,7 +423,6 @@ def parse_program(text: str) -> Program:
                 raise ParseError(f"duplicate stage {name}", line=line_no)
             # defer fn-existence checks until all fn lines are read
             stage_bodies[name] = (body.strip(), line_no)
-            stage_order.append(name)
         elif head == "result":
             if result is not None:
                 raise ParseError("duplicate result line", line=line_no)
@@ -433,10 +446,9 @@ def parse_program(text: str) -> Program:
                     f"function {fn.name} refers to undeclared function {fn.defn.fn}"
                 )
 
-    parsed_stages: dict[str, Stage] = {}
-    for name in stage_order:
-        body, line_no = stage_bodies[name]
-        parsed_stages[name] = _parse_stage(body, fns, line_no)
+    parsed_stages = {
+        name: _parse_stage(body, fns, line_no) for name, (body, line_no) in stage_bodies.items()
+    }
 
     if result is None:
         raise ParseError("missing result line")
@@ -456,12 +468,13 @@ def parse_program(text: str) -> Program:
         raise ParseError(f"result applies to {arg!r} but the input is {input_name!r}", line=line_no)
     pipeline = []
     for seg in segments:
-        if seg not in parsed_stages:
+        if seg not in stage_bodies:
             raise ParseError(f"undeclared stage {seg!r}", line=line_no)
-        pipeline.append((seg, parsed_stages[seg]))
-    unused = set(stage_order) - {name for name, _ in pipeline}
-    if unused:
-        raise ParseError(f"stages never used in result: {', '.join(sorted(unused))}")
+        if seg not in parsed_stages:  # popped at its first use
+            raise ParseError(f"stage {seg!r} used twice in result", line=line_no)
+        pipeline.append((seg, parsed_stages.pop(seg)))
+    if parsed_stages:
+        raise ParseError(f"stages never used in result: {', '.join(sorted(parsed_stages))}")
     return Program(input_name, input_type, fns, tuple(pipeline), result_name)
 
 
@@ -470,32 +483,18 @@ def parse_program(text: str) -> Program:
 
 
 def _print_defn(d: FnDef) -> str:
-    if isinstance(d, PrimDef):
-        return f"prim {d.prim}"
-    if isinstance(d, ElementwiseDef):
-        return f"elementwise {d.fn}"
-    if isinstance(d, FoldOfDef):
-        return f"foldof {d.fn}"
-    if isinstance(d, WrapElemDef):
-        return f"wrapelem {d.fn} {d.k}"
-    if isinstance(d, WrapFoldDef):
-        return f"wrapfold {d.fn} {d.k}"
-    raise TypeError(f"unknown definition {d!r}")
+    return " ".join([_DEFN_KEYWORD[type(d)], *map(str, vars(d).values())])
 
 
 def print_stage(s: Stage) -> str:
-    if isinstance(s, MapStage):
-        return f"map {s.fn}"
-    if isinstance(s, FoldStage):
-        return f"foldl {s.fn} {print_value(s.acc)}"
-    if isinstance(s, ZiptStage):
-        return "zipt"
-    if isinstance(s, UnziptStage):
-        return "unzipt"
     if isinstance(s, ReshapeStage):
-        kind = "reshapeTo" if isinstance(s.step, Increase) else "reshapeFrom"
-        return f"{kind} {s.step.k}"
-    raise TypeError(f"unknown stage {s!r}")
+        return f"{_STAGE_KEYWORD[type(s.step)]} {s.step.k}"
+    kind = _STAGE_KEYWORD[type(s)]
+    if isinstance(s, MapStage):
+        return f"{kind} {s.fn}"
+    if isinstance(s, FoldStage):
+        return f"{kind} {s.fn} {print_value(s.acc)}"
+    return kind
 
 
 def fresh_name(base: str, used: set[str]) -> str:

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import (
     AtomMismatchError,
@@ -136,51 +136,69 @@ class MapElem:
     inner: "Transform"
 
 
+class _CountedOp:
+    """An operation whose one field is an integer of at least 1; ``_OPS``
+    names the integer."""
+
+    def __post_init__(self):
+        (n,) = vars(self).values()
+        if n < 1:
+            raise ValueError(f"{_OP_TEXT[type(self)].what} must be >= 1, got {n}")
+
+
 @dataclass(frozen=True)
-class Regroup:
+class Regroup(_CountedOp):
     """[[t]<n1>]<n2> becomes [[t]<n1*m>]<n2/m>."""
 
     m: int
 
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"regroup factor must be >= 1, got {self.m}")
-
 
 @dataclass(frozen=True)
-class RegroupInv:
+class RegroupInv(_CountedOp):
     """[[t]<n1>]<n2> becomes [[t]<n1/m>]<n2*m>."""
 
     m: int
 
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"regroup factor must be >= 1, got {self.m}")
-
 
 @dataclass(frozen=True)
-class Wrap:
+class Wrap(_CountedOp):
     """t becomes [t]<k>; grows the total size."""
 
     k: int
 
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"wrap size must be >= 1, got {self.k}")
-
 
 @dataclass(frozen=True)
-class Unwrap:
+class Unwrap(_CountedOp):
     """Checked unwrap: [t]<k> becomes t, error on any other argument."""
 
     k: int
 
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"wrap size must be >= 1, got {self.k}")
-
 
 TypeOp = Union[Lift, Unlift, MapElem, Regroup, RegroupInv, Wrap, Unwrap]
+
+# The text of each operation but ``M``: its keyword, its class, the class of
+# its inverse, whose keyword adds ``^-1``, and the name of its integer, if any.
+_OPS = {
+    "S": (Lift, Unlift, None),
+    "R": (Regroup, RegroupInv, "regroup factor"),
+    "V": (Wrap, Unwrap, "wrap size"),
+}
+
+
+class _OpText(NamedTuple):
+    """One class of ``_OPS``: its keyword, with ``^-1`` for an inverse, the
+    name of its integer, and the class of its inverse."""
+
+    text: str
+    what: Optional[str]
+    inverse: type
+
+
+_OP_TEXT = {
+    cls: _OpText(keyword + mark, what, other)
+    for keyword, (op, inv, what) in _OPS.items()
+    for cls, mark, other in ((op, "", inv), (inv, "^-1", op))
+}
 
 
 @dataclass(frozen=True)
@@ -292,21 +310,9 @@ def wrap_op(tr: Transform) -> Optional[TypeOp]:
 
 
 def invert_op(op: TypeOp) -> TypeOp:
-    if isinstance(op, Lift):
-        return Unlift()
-    if isinstance(op, Unlift):
-        return Lift()
     if isinstance(op, MapElem):
         return MapElem(invert_transform(op.inner))
-    if isinstance(op, Regroup):
-        return RegroupInv(op.m)
-    if isinstance(op, RegroupInv):
-        return Regroup(op.m)
-    if isinstance(op, Wrap):
-        return Unwrap(op.k)
-    if isinstance(op, Unwrap):
-        return Wrap(op.k)
-    raise TypeError(f"unknown operation {op!r}")
+    return _OP_TEXT[type(op)].inverse(*vars(op).values())
 
 
 def invert_transform(tr: Transform) -> Transform:
@@ -443,21 +449,9 @@ def print_type(t: VecType) -> str:
 
 
 def print_op(op: TypeOp) -> str:
-    if isinstance(op, Lift):
-        return "S"
-    if isinstance(op, Unlift):
-        return "S^-1"
     if isinstance(op, MapElem):
         return f"M ( {print_transform(op.inner)} )"
-    if isinstance(op, Regroup):
-        return f"R {op.m}"
-    if isinstance(op, RegroupInv):
-        return f"R^-1 {op.m}"
-    if isinstance(op, Wrap):
-        return f"V {op.k}"
-    if isinstance(op, Unwrap):
-        return f"V^-1 {op.k}"
-    raise TypeError(f"unknown operation {op!r}")
+    return " ".join([_OP_TEXT[type(op)].text, *map(str, vars(op).values())])
 
 
 def print_transform(tr: Transform) -> str:
@@ -586,17 +580,13 @@ def _parse_ops(sc: _Scanner, depth: int = 0) -> list[TypeOp]:
                 raise ParseError("expected -1 after ^", column=sc.pos + 1)
             sc.pos += 2
             inverse = True
-        if name == "S":
-            ops.append(Unlift() if inverse else Lift())
+        if name in _OPS:
+            op, inv, what = _OPS[name]
+            cls = inv if inverse else op
+            ops.append(cls() if what is None else cls(sc.positive(what)))
         elif name == "I":  # the identity, which is no operation
             if inverse:
                 raise ParseError("I has no inverse marker", column=sc.pos)
-        elif name == "R":
-            m = sc.positive("regroup factor")
-            ops.append(RegroupInv(m) if inverse else Regroup(m))
-        elif name == "V":
-            k = sc.positive("wrap size")
-            ops.append(Unwrap(k) if inverse else Wrap(k))
         elif name == "M":
             if inverse:
                 raise ParseError("write M ( F^-1 ) rather than M^-1", column=sc.pos)

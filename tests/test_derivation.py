@@ -426,6 +426,22 @@ result r = m |> t s
     assert rep.passes == 100 and not rep.hard_failure
 
 
+def test_two_stages_over_one_function_share_its_lifted_function():
+    p = parse_program(
+        """\
+input s :: [a]<8>
+fn f :: a -> a
+fn f = prim mul3
+stage m = map f
+stage n = map f
+result r = m |> n s
+"""
+    )
+    d = derive(p, parse_transform("R 2 M ( S )"))
+    assert d.derived.stages == (("m", MapStage("f__m2")), ("n", MapStage("f__m2")))
+    assert list(d.derived.fns) == ["f", "f__m2"]
+    assert d.derived.fns["f__m2"].defn == ElementwiseDef("f")
+
 def test_derive_boundary_program_reproduces_original():
     rng = random.Random(21)
     p = map_program(12, fn="mul3")

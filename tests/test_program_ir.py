@@ -234,6 +234,12 @@ PROGRAM_PARSE_ERRORS = [
     (G + "result r = g t", ParseError, "result applies to 't' but the input is 's' at line 4"),
     (G + "result r = g |> h s", ParseError, "undeclared stage 'h' at line 4"),
     (G + "stage h = map f; result r = g s", ParseError, "stages never used in result: h"),
+    (
+        "input s :: [a]<8>; fn f :: a -> a; stage g = map f; stage x = reshapeTo 2; "
+        "stage y = reshapeFrom 2; result r = g |> x |> y |> g s",
+        ParseError,
+        "stage 'g' used twice in result at line 6",
+    ),
     (IN + "stage g =; result r = g s", ParseError, "empty stage definition at line 2"),
     (IN + "stage g = map f; result r = g s", ParseError, "undeclared function 'f' at line 2"),
     (
@@ -247,6 +253,12 @@ PROGRAM_PARSE_ERRORS = [
         ParseError,
         "bad accumulator literal: expected a value at column 4 at line 3",
     ),
+    (
+        IN + "stage z = zipt whatever; result r = z s",
+        ParseError,
+        "zipt takes no argument at line 2",
+    ),
+    (IN + "stage u = unzipt 3 4; result r = u s", ParseError, "unzipt takes no argument at line 2"),
     (IN + "stage g = scan f; result r = g s", ParseError, "unknown stage kind 'scan' at line 2"),
     (
         IN + "stage g = reshapeTo 0; result r = g s",
