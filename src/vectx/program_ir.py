@@ -81,7 +81,7 @@ class WrapFoldDef:
 FnDef = Union[PrimDef, ElementwiseDef, FoldOfDef, WrapElemDef, WrapFoldDef]
 
 # Each definition's keyword, its class, and the number of words after the
-# keyword: a function name, then a size for a wrapper.
+# keyword: a primitive or function name, then a size for a wrapper.
 _DEFNS = {
     "prim": (PrimDef, 1),
     "elementwise": (ElementwiseDef, 1),
