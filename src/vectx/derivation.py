@@ -50,7 +50,11 @@ transformed input), a boundary form wrapped in reshape stages so that it
 consumes the original input and returns the original's result type, the
 steps relating the two results, and a verdict.  ``verify`` replays the
 original and boundary programs on seeded random inputs and compares their
-results exactly.
+results exactly.  It runs them on the inputs' leaf columns
+(``runtime.compile_columns``), where reshape, ``zipt`` and ``unzipt`` stages
+move no leaf; a program with a stage that has no column form runs on values
+by ``compile_program``.  Its report, counterexample included, is what
+running ``eval_program`` on each input would give.
 """
 
 from __future__ import annotations
@@ -72,6 +76,7 @@ from .program_ir import (
     Program,
     ReshapeStage,
     Stage,
+    TypedProgram,
     UnziptStage,
     WrapElemDef,
     WrapFoldDef,
@@ -82,7 +87,14 @@ from .program_ir import (
     stage_output_type,
     typecheck,
 )
-from .runtime import Value, compile_program, random_value
+from .runtime import (
+    Columns,
+    Value,
+    compile_columns,
+    compile_program,
+    leaf_columns,
+    random_value,
+)
 from .type_algebra import (
     Decrease,
     Increase,
@@ -478,22 +490,30 @@ def verify(d: Derivation, trials: int = 100, seed: int = 0) -> VerifyReport:
 
     The boundary program is the derived one between the reshapes of its
     input and output types, so it is the derivation's claim as it runs.
-    Each program is compiled once, before the first trial.
+    Each input is drawn by ``random_value`` and taken to leaf columns once,
+    and each program runs on them as ``compile_columns`` compiles it; a
+    program that has a stage with no column rule runs on the input value by
+    its ``compile_program`` closure, and its result is taken to leaf
+    columns.  Two results at one type are equal exactly when their columns
+    are.  The first counterexample is run again by both reference closures,
+    so it holds the values ``eval_program`` returns.
     """
     if trials < 0:
         raise VectxError(f"verify needs trials >= 0, got {trials}")
     rng = random.Random(seed)
-    run_original = compile_program(d.original)
-    run_boundary = compile_program(d.boundary)
+    input_type = d.original.input_type
+    run_original, run_boundary = _column_runs(d)
     passes = 0
     first = None
     for _ in range(trials):
-        v = random_value(d.original.input_type, rng)
-        lhs, rhs = run_original(v), run_boundary(v)
-        if lhs == rhs:
+        v = random_value(input_type, rng)
+        columns = leaf_columns(v, input_type)
+        if run_original(v, columns) == run_boundary(v, columns):
             passes += 1
         elif first is None:
-            first = (v, lhs, rhs)
+            first = v
+    if first is not None:
+        first = (first, compile_program(d.original)(first), compile_program(d.boundary)(first))
     return VerifyReport(
         trials=trials,
         passes=passes,
@@ -501,3 +521,40 @@ def verify(d: Derivation, trials: int = 100, seed: int = 0) -> VerifyReport:
         first_counterexample=first,
         expects_preservation=expects_preservation(d.verdict),
     )
+
+
+def _column_runs(d: Derivation) -> list[Callable[[Value, Columns], object]]:
+    """For the original and the boundary program, ``v, columns -> result``
+    on an input v whose leaf columns are ``columns``.  A result is its leaf
+    columns, or, where it does not conform to its type, the result itself in
+    a list, which equals no columns and compares as the values do.  Columns
+    stand for values only at one type: if the two programs do not typecheck
+    to the same input and result types, each result is a value in a list."""
+    programs = (d.original, d.boundary)
+    try:
+        typed = [typecheck(p) for p in programs]
+    except VectxError:
+        typed = [None, None]
+    if len({(t.program.input_type, t.result_type) for t in typed if t is not None}) != 1:
+        typed = [None, None]
+    return [_column_run(p, t) for p, t in zip(programs, typed)]
+
+
+def _column_run(
+    program: Program, typed: Optional[TypedProgram]
+) -> Callable[[Value, Columns], object]:
+    """One program's run for ``_column_runs``: on columns where
+    ``compile_columns`` compiles it, else on values by its
+    ``compile_program`` closure; untyped, its result is a value in a list."""
+    native = None if typed is None else compile_columns(program, typed.stage_types)
+    if native is not None:
+        return lambda v, columns: native(columns)
+    run = compile_program(program)
+    if typed is None:
+        return lambda v, columns: [run(v)]
+
+    def reference(v, columns):
+        out = run(v)
+        return leaf_columns(out, typed.result_type) or [out]
+
+    return reference

@@ -17,6 +17,7 @@ class ParseError(VectxError):
         elif column is not None:
             loc = f" at column {column}"
         super().__init__(message + loc)
+        self.message = message
         self.line = line
         self.column = column
 

@@ -306,14 +306,28 @@ def typecheck(program: Program) -> TypedProgram:
 # Parsing
 
 
-def _parse_sig(text: str, line_no: int) -> FnSig:
-    parts = [p.strip() for p in text.split("->")]
-    if len(parts) < 2:
+def _nested(e: ParseError, what: str, line_no: int, start: int) -> ParseError:
+    """``e``, raised reading a text that starts ``start`` characters into line
+    ``line_no``, as one error at that line and the column of the fault."""
+    column = None if e.column is None else start + e.column
+    return ParseError(f"{what}: {e.message}", line=line_no, column=column)
+
+
+def _parse_sig(text: str, line_no: int, end: int) -> FnSig:
+    """The signature ``text``, which ends a line of ``end`` characters."""
+    pieces = text.split("->")
+    if len(pieces) < 2:
         raise ParseError("signature needs at least one ->", line=line_no)
-    try:
-        types = [parse_type(p) for p in parts]
-    except ParseError as e:
-        raise ParseError(f"bad type in signature: {e}", line=line_no)
+    types = []
+    start = end - len(text)
+    for piece in pieces:
+        part = piece.strip()
+        try:
+            types.append(parse_type(part))
+        except ParseError as e:
+            offset = start + len(piece) - len(piece.lstrip())
+            raise _nested(e, "bad type in signature", line_no, offset) from None
+        start += len(piece) + len("->")
     return FnSig(tuple(types[:-1]), types[-1])
 
 
@@ -329,7 +343,8 @@ def _parse_size(text: str, what: str, line_no: int) -> int:
     return k
 
 
-def _parse_stage(rest: str, fns: dict[str, OpaqueFn], line_no: int) -> Stage:
+def _parse_stage(rest: str, fns: dict[str, OpaqueFn], line_no: int, end: int) -> Stage:
+    """The stage ``rest``, which ends a line of ``end`` characters."""
     words = rest.split(None, 1)
     if not words:
         raise ParseError("empty stage definition", line=line_no)
@@ -349,7 +364,7 @@ def _parse_stage(rest: str, fns: dict[str, OpaqueFn], line_no: int) -> Stage:
         try:
             acc = parse_value(sub[1])
         except ParseError as e:
-            raise ParseError(f"bad accumulator literal: {e}", line=line_no)
+            raise _nested(e, "bad accumulator literal", line_no, end - len(sub[1])) from None
         return FoldStage(sub[0], acc)
     if cls in (Increase, Decrease):
         return ReshapeStage(cls(_parse_size(arg, kind, line_no)))
@@ -367,11 +382,12 @@ def parse_program(text: str) -> Program:
     sigs: dict[str, FnSig] = {}
     defs: dict[str, FnDef] = {}
     order: list[str] = []
-    stage_bodies: dict[str, tuple[str, int]] = {}
+    stage_bodies: dict[str, tuple[str, int, int]] = {}
     result = None
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        code = raw.split("#", 1)[0].rstrip()
+        line = code.strip()
         if not line:
             continue
         words = line.split(None, 1)
@@ -384,17 +400,18 @@ def parse_program(text: str) -> Program:
                 raise ParseError("input needs '<name> :: <type>'", line=line_no)
             name, ty = rest.split("::", 1)
             input_name = name.strip()
+            ty = ty.strip()
             try:
-                input_type = parse_type(ty.strip())
+                input_type = parse_type(ty)
             except ParseError as e:
-                raise ParseError(f"bad input type: {e}", line=line_no)
+                raise _nested(e, "bad input type", line_no, len(code) - len(ty)) from None
         elif head == "fn":
             if "::" in rest:
                 name, sig = rest.split("::", 1)
                 name = name.strip()
                 if name in sigs:
                     raise ParseError(f"duplicate signature for {name}", line=line_no)
-                sigs[name] = _parse_sig(sig, line_no)
+                sigs[name] = _parse_sig(sig, line_no, len(code))
                 if name not in order:
                     order.append(name)
             elif "=" in rest:
@@ -422,7 +439,7 @@ def parse_program(text: str) -> Program:
             if name in stage_bodies:
                 raise ParseError(f"duplicate stage {name}", line=line_no)
             # defer fn-existence checks until all fn lines are read
-            stage_bodies[name] = (body.strip(), line_no)
+            stage_bodies[name] = (body.strip(), line_no, len(code))
         elif head == "result":
             if result is not None:
                 raise ParseError("duplicate result line", line=line_no)
@@ -447,7 +464,8 @@ def parse_program(text: str) -> Program:
                 )
 
     parsed_stages = {
-        name: _parse_stage(body, fns, line_no) for name, (body, line_no) in stage_bodies.items()
+        name: _parse_stage(body, fns, line_no, end)
+        for name, (body, line_no, end) in stage_bodies.items()
     }
 
     if result is None:

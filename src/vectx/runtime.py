@@ -47,6 +47,19 @@ Each primitive is stated once, in ``_TABLE``: the class of each argument
 ``foldl`` pass checks them once per level and runs the plain operation on
 every node; if that check fails, it calls the checked primitive node by
 node, so it raises what a direct call raises.
+
+A typed program can also run on leaf columns.  ``leaf_columns`` takes a
+value to one tuple of ints per atom of its type, each in leaf order, the two
+parts of a pair giving their columns in turn; it is the walk ``conforms``
+makes, and gives ``None`` where the value does not conform.  Since ``S``,
+``R`` and ``M`` never reorder leaves, a reshape, ``zipt`` or ``unzipt``
+stage leaves the columns as they are, and so does a ``map`` of ``zipt`` or
+``unzipt``; ``compile_columns`` compiles every other ``map`` and ``foldl``
+of a scalar primitive or ``swap`` to a pass over whole columns, from the
+plain operations of ``_TABLE``.  A program with another stage (``reverse``,
+``sum``, ``add_head``, a ``wrapelem`` or ``wrapfold`` function) has no
+column form, and runs by ``compile_program``.  ``derivation.verify`` replays
+its trials on columns; ``eval_program`` stays the reference, on values.
 """
 
 from __future__ import annotations
@@ -65,6 +78,7 @@ from .errors import (
     MissingPrimitiveError,
     ParseError,
     ShapeError,
+    VectxError,
 )
 from .type_algebra import (
     MAX_LEAVES,
@@ -80,6 +94,7 @@ from .type_algebra import (
     check_nesting,
     dims_of,
     from_dims,
+    leaf_of,
     print_op,
     print_step,
     print_type,
@@ -128,25 +143,40 @@ def vv(*items: Value) -> VecVal:
 
 def conforms(v: Value, t: VecType) -> bool:
     """Structural match of a value against a type; any atom admits a scalar."""
-    return _all_conform([v], t)
+    return leaf_columns(v, t) is not None
 
 
-def _all_conform(nodes: list[Value], t: VecType) -> bool:
-    """Whether every one of ``nodes`` conforms to t, checked one vector level
-    at a time; only a pair recurses, once per component."""
+# A value's leaf columns: one tuple of ints per atom of its type.
+Columns = tuple[tuple[int, ...], ...]
+
+
+def leaf_columns(v: Value, t: VecType) -> Optional[Columns]:
+    """The leaf columns of ``v`` at type t, or ``None`` when v does not
+    conform to t.  Each atom of t, first to last, gives the tuple of the
+    leaves it holds, in leaf order; a pair gives its first part's columns,
+    then its second's."""
+    return _nodes_columns((v,), t)
+
+
+def _nodes_columns(nodes, t: VecType) -> Optional[Columns]:
+    """The leaf columns of ``nodes`` at type t, each node's leaves after the
+    last's, walked one vector level at a time; only a pair recurses, once
+    per component.  ``None`` when a node does not conform to t."""
     while isinstance(t, Vec):
         n = t.size
         for x in nodes:
             if not isinstance(x, VecVal) or len(x.items) != n:
-                return False
+                return None
         nodes = list(chain.from_iterable([x.items for x in nodes]))
         t = t.element
     if isinstance(t, Pair):
         if not _all_of(nodes, TupVal):
-            return False
+            return None
         firsts, seconds = _columns(nodes)
-        return _all_conform(firsts, t.fst) and _all_conform(seconds, t.snd)
-    return _all_of(nodes, int)
+        fst = _nodes_columns(firsts, t.fst)
+        snd = None if fst is None else _nodes_columns(seconds, t.snd)
+        return None if snd is None else fst + snd
+    return (tuple(nodes),) if _all_of(nodes, int) else None
 
 
 def _all_of(xs, cls: type) -> bool:
@@ -561,22 +591,12 @@ def compile_program(program) -> Callable[[Value], Value]:
             return 2, lambda acc, x: h(acc, to_vector(k, x))
         return None, _raises(TypeError, f"unknown definition {d!r}")
 
-    def unnest(name: str, kind: type) -> tuple[int, str]:
-        """The vector levels a stage over ``name`` unfolds (one, plus one per
-        ``kind`` definition it is nested in) and the base function it reaches.
-        A cycle stops at the first name seen twice, which then recurses."""
-        levels, seen = 1, set()
-        while name in fns and isinstance(fns[name].defn, kind) and name not in seen:
-            seen.add(name)
-            name, levels = fns[name].defn.fn, levels + 1
-        return levels, name
-
     def stage(s) -> Callable[[Value], Value]:
         if isinstance(s, MapStage):
-            levels, base = unnest(s.fn, ElementwiseDef)
+            levels, base = _unnest(fns, s.fn, ElementwiseDef)
             return _map_levels(call(base, 1), levels)
         if isinstance(s, FoldStage):
-            levels, base = unnest(s.fn, FoldOfDef)
+            levels, base = _unnest(fns, s.fn, FoldOfDef)
             fold, acc = _fold_levels(call(base, 2), levels), s.acc
             return lambda v: fold(acc, v)
         if isinstance(s, ZiptStage):
@@ -596,6 +616,17 @@ def compile_program(program) -> Callable[[Value], Value]:
         return run(v)
 
     return run_program
+
+
+def _unnest(fns: dict, name: str, kind: type) -> tuple[int, str]:
+    """The vector levels a stage over function ``name`` unfolds (one, plus one
+    per ``kind`` definition it is nested in) and the base function it reaches.
+    A cycle stops at the first name seen twice, which then recurses."""
+    levels, seen = 1, set()
+    while name in fns and isinstance(fns[name].defn, kind) and name not in seen:
+        seen.add(name)
+        name, levels = fns[name].defn.fn, levels + 1
+    return levels, name
 
 
 def _map_levels(h: Callable[[Value], Value], levels: int) -> Callable[[Value], Value]:
@@ -658,6 +689,81 @@ def _chain(fs: list[Callable[[Value], Value]]) -> Callable[[Value], Value]:
         return v
 
     return chain
+
+
+def compile_columns(program, stage_types) -> Optional[Callable[[Columns], Columns]]:
+    """Compile a typed pipeline into one closure from the leaf columns of its
+    input to those of its result, or ``None`` when a stage has no column
+    rule.  ``stage_types`` are the stages' input and output types, as
+    ``typecheck`` gives them.
+
+    A reshape, ``zipt`` or ``unzipt`` stage moves no leaf, so it runs as
+    nothing.  A ``map`` or ``foldl`` stage reaches its base function through
+    its chain of ``elementwise`` or ``foldof`` definitions.  A ``map`` of a
+    scalar primitive maps its plain operation over the one column; a ``map``
+    of ``swap`` puts the columns of the pair's second part before those of
+    its first; a ``map`` of ``zipt`` or ``unzipt`` runs as nothing.  A
+    ``foldl`` of a scalar step from a scalar accumulator is one ``reduce``
+    of the column.  Each rule holds only where the base's signature is the
+    one its operation gives, so the closure returns the columns of what
+    ``compile_program`` returns on the same input."""
+    from .program_ir import (
+        ElementwiseDef,
+        FoldOfDef,
+        FoldStage,
+        MapStage,
+        PrimDef,
+        ReshapeStage,
+        UnziptStage,
+        ZiptStage,
+        stage_output_type,
+    )
+
+    fns = program.fns
+    runs: list[Callable[[Columns], Columns]] = []
+    for (_, s), (in_t, _) in zip(program.stages, stage_types):
+        if isinstance(s, (ReshapeStage, ZiptStage, UnziptStage)):
+            continue
+        if not isinstance(s, (MapStage, FoldStage)):
+            return None
+        levels, base = _unnest(fns, s.fn, ElementwiseDef if isinstance(s, MapStage) else FoldOfDef)
+        e = in_t  # the type of the nodes the base runs on
+        for _ in range(levels):
+            if not isinstance(e, Vec):
+                return None
+            e = e.element
+        fn = fns.get(base)
+        d = None if fn is None else fn.defn
+        if not isinstance(d, PrimDef) or d.prim not in _TABLE:
+            return None
+        classes, op = _TABLE[d.prim]
+        args, ret = fn.sig.args, fn.sig.ret
+        scalar = all(isinstance(x, Atom) for x in (*args, ret))
+        if isinstance(s, FoldStage):
+            if classes != (int, int) or not scalar or type(s.acc) is not int:
+                return None
+            runs.append(lambda cols, op=op, acc=s.acc: ((reduce(op, cols[0], acc),),))
+        elif classes == (int,) and scalar:
+            runs.append(lambda cols, op=op: (tuple(map(op, cols[0])),))
+        elif d.prim == "swap" and isinstance(e, Pair) and ret == Pair(e.snd, e.fst):
+            n = _atoms(e.fst)
+            runs.append(lambda cols, n=n: cols[n:] + cols[:n])
+        elif d.prim in ("zipt", "unzipt"):
+            stage = ZiptStage() if d.prim == "zipt" else UnziptStage()
+            try:
+                if stage_output_type(stage, e, fns) != ret:
+                    return None
+            except VectxError:
+                return None
+        else:
+            return None
+    return _chain(runs)
+
+
+def _atoms(t: VecType) -> int:
+    """The atoms of t, one leaf column each."""
+    t = leaf_of(t)
+    return _atoms(t.fst) + _atoms(t.snd) if isinstance(t, Pair) else 1
 
 
 def eval_program(program, v: Value) -> Value:

@@ -3,9 +3,12 @@
 import random
 
 from vectx.errors import ShapeError
+from vectx.program_ir import UnziptStage, ZiptStage, stage_output_type
 from vectx.runtime import TupVal, VecVal
 from vectx.type_algebra import (
     Atom,
+    Decrease,
+    Increase,
     Lift,
     MapElem,
     Pair,
@@ -18,7 +21,9 @@ from vectx.type_algebra import (
     Wrap,
     dims_of,
     from_dims,
+    leaf_of,
     print_type,
+    step_apply,
 )
 
 
@@ -87,6 +92,109 @@ def random_program_text(rng: random.Random, n: int, stages: int = 3) -> str:
             fn = f"f{i}_{len(dims)}"
         lines.append(f"stage s{i} = foldl {fn} 0" if fold else f"stage s{i} = map {fn}")
     return "\n".join(lines + [f"result r = {' |> '.join(names)} s"]) + "\n"
+
+
+def random_pipeline_text(rng: random.Random, n: int, stages: int = 4) -> str:
+    """A longer pipeline over a vector of total size n, or over a pair of two
+    such vectors, than ``random_program_text`` makes, with draws of its own.
+    Its stages are reshapes, ``zipt``/``unzipt``, maps and perhaps a fold that
+    ends it, at any depth of the element: a map of a scalar primitive, of
+    ``swap`` over pairs, of an opaque ``reverse``, ``sum`` or ``wrapelem``; a
+    fold of a scalar step, of an opaque ``add_head`` or of a ``wrapfold``.
+    Each function is lifted to its element by ``elementwise``/``foldof``."""
+    dims = random_factorization(rng, n, 3)
+    if rng.random() < 0.4:
+        t = Pair(from_dims(Atom("a"), dims), from_dims(Atom("b"), dims))
+    else:
+        t = from_dims(Atom("a"), dims)
+    lines = [f"input s :: {print_type(t)}"]
+    names = []
+    for i in range(1, stages + 1):
+        names.append(f"s{i}")
+        pair = isinstance(t, Pair)
+        outer = t.fst if pair else t
+        kinds = ["reshapeTo"] + ["reshapeFrom"] * isinstance(outer.element, Vec)
+        if pair:
+            kinds += ["zipt"] * 3
+        else:
+            e = t.element
+            kinds += ["map"] * 3 + ["unzipt"] * 3 * isinstance(e, Pair)
+            kinds += ["foldl"] * (i > 1) * (3 + 3 * (i == stages)) * isinstance(leaf_of(e), Atom)
+        kind = rng.choice(kinds)
+        if kind == "reshapeTo":
+            k = rng.choice(divisors(outer.size))
+            lines.append(f"stage s{i} = reshapeTo {k}")
+            t = step_apply(Increase(k), t)
+        elif kind == "reshapeFrom":
+            lines.append(f"stage s{i} = reshapeFrom {outer.element.size}")
+            t = step_apply(Decrease(outer.element.size), t)
+        elif kind in ("zipt", "unzipt"):
+            lines.append(f"stage s{i} = {kind}")
+            t = stage_output_type(ZiptStage() if kind == "zipt" else UnziptStage(), t, {})
+        elif kind == "map":
+            fn, ret = _random_map_fn(rng, lines, f"f{i}", t.element)
+            lines.append(f"stage s{i} = map {fn}")
+            t = Vec(t.size, ret)
+        else:
+            fn = _random_fold_fn(rng, lines, f"f{i}", t.element)
+            lines.append(f"stage s{i} = foldl {fn} 0")
+            break
+    return "\n".join(lines + [f"result r = {' |> '.join(names)} s"]) + "\n"
+
+
+def _random_map_fn(rng: random.Random, lines: list, fn: str, e):
+    """Declare a map function over elements of type e; return its name and
+    result type."""
+    dims, leaf = dims_of(e), leaf_of(e)
+    if isinstance(leaf, Pair):
+        return _lift(lines, fn, "prim swap", leaf, Pair(leaf.snd, leaf.fst), dims, False)
+    kinds = ["scalar", "scalar", "wrapelem"] + ["reverse", "sum"] * bool(dims)
+    kind = rng.choice(kinds)
+    if kind == "scalar":
+        prim = rng.choice(["add1", "negate", "mul3"])
+        return _lift(lines, fn, f"prim {prim}", leaf, leaf, dims, False)
+    if kind == "wrapelem":
+        k = rng.randint(1, 3)
+        chunk = print_type(Vec(k, leaf))
+        lines += [f"fn {fn}r :: {chunk} -> {chunk}", f"fn {fn}r = prim reverse"]
+        return _lift(lines, fn, f"wrapelem {fn}r {k}", leaf, leaf, dims, False)
+    chunk = Vec(dims[0], leaf)
+    ret = chunk if kind == "reverse" else leaf
+    return _lift(lines, fn, f"prim {kind}", chunk, ret, dims[1:], False)
+
+
+def _random_fold_fn(rng: random.Random, lines: list, fn: str, e) -> str:
+    """Declare a fold function over elements of type e, whose leaf is an
+    atom, from the accumulator 0; return its name."""
+    dims, leaf = dims_of(e), leaf_of(e)
+    kind = rng.choice(["scalar", "scalar", "wrapfold"] + ["add_head"] * bool(dims))
+    if kind == "scalar":
+        prim = rng.choice(["add", "dec_shift", "max"])
+        return _lift(lines, fn, f"prim {prim}", leaf, leaf, dims, True)[0]
+    if kind == "wrapfold":
+        k = rng.randint(1, 3)
+        chunk = print_type(Vec(k, leaf))
+        a = print_type(leaf)
+        lines += [f"fn {fn}h :: {a} -> {chunk} -> {a}", f"fn {fn}h = prim add_head"]
+        return _lift(lines, fn, f"wrapfold {fn}h {k}", leaf, leaf, dims, True)[0]
+    return _lift(lines, fn, "prim add_head", Vec(dims[0], leaf), leaf, dims[1:], True)[0]
+
+
+def _lift(lines: list, fn: str, base: str, arg, ret, dims, fold: bool):
+    """Declare ``fn_0 = base`` over ``arg`` with result ``ret`` (for a fold,
+    ``ret -> arg -> ret``), and each ``fn_j`` lifting ``fn_{j-1}`` over one
+    more of ``dims``, innermost first, by ``elementwise`` (``foldof``).
+    Returns the outermost name and its result type."""
+    for j in range(len(dims) + 1):
+        a = print_type(from_dims(arg, dims[:j]))
+        if fold:
+            r = print_type(ret)
+            sig = f"{r} -> {a} -> {r}"
+        else:
+            sig = f"{a} -> {print_type(from_dims(ret, dims[:j]))}"
+        body = f"{'foldof' if fold else 'elementwise'} {fn}_{j - 1}" if j else base
+        lines += [f"fn {fn}_{j} :: {sig}", f"fn {fn}_{j} = {body}"]
+    return f"{fn}_{len(dims)}", ret if fold else from_dims(ret, dims)
 
 
 def random_structural_transform(rng: random.Random, depth: int = 0) -> Transform:

@@ -1,16 +1,26 @@
 import hashlib
 import random
+from collections import Counter
+from dataclasses import replace
 from typing import get_args
 
 import pytest
 
-from gen import flatten, random_factorization, random_program_text, random_type
+from gen import (
+    flatten,
+    random_factorization,
+    random_pipeline_text,
+    random_program_text,
+    random_type,
+)
+from vectx import derivation
 from vectx.derivation import (
     RULES,
     ConditionallyPreserved,
     Decrease,
     Increase,
     Preserved,
+    VerifyReport,
     combine_verdicts,
     derive,
     derive_step,
@@ -22,8 +32,10 @@ from vectx.derivation import (
 from vectx.errors import DerivationError, ShapeError, VectxError
 from vectx.program_ir import (
     ElementwiseDef,
+    FoldOfDef,
     FoldStage,
     MapStage,
+    PrimDef,
     ReshapeStage,
     Stage,
     WrapElemDef,
@@ -34,7 +46,9 @@ from vectx.program_ir import (
 )
 from vectx.runtime import (
     TupVal,
+    compile_columns,
     eval_program,
+    leaf_columns,
     print_value,
     random_value,
     reshape_to,
@@ -567,6 +581,132 @@ def test_verify_reports_are_pinned():
             parts = [str(rep.passes), str(rep.failures)] + [print_value(v) for v in cx]
             digest.update(("|".join(parts) + "\n").encode())
     assert digest.hexdigest() == "c940950346de9cf99c0c02605cb20b3843c0614e05bf671889ebfeaffc324115"
+
+
+def generated_cases() -> list:
+    """Seeded ``random_pipeline_text`` pipelines, each with a transform towards
+    a random target of its input's shape: a vector, or a pair of two."""
+    rng = random.Random(47)
+    cases = []
+    for _ in range(150):
+        n = rng.choice([4, 6, 8, 12])
+        p = parse_program(random_pipeline_text(rng, n))
+        dims = random_factorization(rng, n, 3)
+        a = from_dims(Atom("a"), dims)
+        target = Pair(a, from_dims(Atom("b"), dims)) if isinstance(p.input_type, Pair) else a
+        cases.append((p, path_between(p.input_type, target)))
+    return cases
+
+
+def derivations(cases) -> list:
+    """The derivations of ``cases`` that ``derive`` does not reject."""
+    out = []
+    for p, tr in cases:
+        try:
+            out.append(derive(p, tr))
+        except DerivationError:
+            pass
+    return out
+
+
+def column_rules(program) -> set:
+    """The column rule each stage of a program takes: its stage kind, and for a
+    map or a fold the primitive its chain of definitions reaches."""
+    rules = set()
+    for _, s in program.stages:
+        if isinstance(s, (MapStage, FoldStage)):
+            fn = program.fns[s.fn]
+            while isinstance(fn.defn, (ElementwiseDef, FoldOfDef)):
+                fn = program.fns[fn.defn.fn]
+            d = fn.defn
+            base = d.prim if isinstance(d, PrimDef) else type(d).__name__
+            rules.add((type(s).__name__, base))
+        else:
+            rules.add((type(s).__name__,))
+    return rules
+
+
+def test_generated_pipelines_reach_every_rule():
+    # Every RULES entry fires, fold-Decrease among them many times (the
+    # pinned corpus names it 3 times in 212 derivations).
+    records = [r for d in derivations(generated_cases()) for r in d.stage_records]
+    fired = Counter(name for r in records for name in r.rules)
+    assert set(fired) == {name for name, _ in RULES.values()}
+    assert fired["fold-Decrease"] >= 15
+    assert ConditionallyPreserved("f = foldl h", True) in {r.verdict for r in records}
+
+
+def test_column_runs_match_the_reference():
+    # On the pinned and the generated derivations, the column run of each
+    # program gives the leaf columns of what eval_program returns.
+    native, opaque = set(), set()
+    for d in derivations(pinned_cases() + generated_cases()):
+        for p in (d.original, d.derived, d.boundary):
+            typed = typecheck(p)
+            run = compile_columns(p, typed.stage_types)
+            (opaque if run is None else native).update(column_rules(p))
+            if run is None:
+                continue
+            for seed in (0, 1, 2):
+                v = random_value(p.input_type, random.Random(seed))
+                expected = leaf_columns(eval_program(p, v), typed.result_type)
+                assert run(leaf_columns(v, p.input_type)) == expected
+    assert {rule[1] for rule in native if len(rule) == 2} == {
+        "add1", "negate", "mul3", "swap", "zipt", "unzipt", "add", "dec_shift", "max"
+    }
+    assert {("ReshapeStage",), ("ZiptStage",), ("UnziptStage",)} <= native
+    assert {rule[1] for rule in opaque if len(rule) == 2} >= {
+        "reverse", "sum", "add_head", "WrapElemDef", "WrapFoldDef"
+    }
+
+
+def value_replay(d, trials: int, seed: int) -> VerifyReport:
+    """The report of ``verify``, worked out by ``eval_program`` on values."""
+    rng = random.Random(seed)
+    passes, first = 0, None
+    for _ in range(trials):
+        v = random_value(d.original.input_type, rng)
+        lhs, rhs = eval_program(d.original, v), eval_program(d.boundary, v)
+        if lhs == rhs:
+            passes += 1
+        elif first is None:
+            first = (v, lhs, rhs)
+    return VerifyReport(trials, passes, trials - passes, first, expects_preservation(d.verdict))
+
+
+def test_verify_reports_what_a_replay_on_values_gives():
+    for d in derivations(generated_cases()):
+        rep = verify(d, trials=10, seed=3)
+        assert rep == value_replay(d, 10, 3)
+        assert not rep.hard_failure
+
+
+def test_verify_compares_values_where_the_result_types_differ():
+    # A zipt's result and its input have the same leaf columns, but they are
+    # different values, so every trial fails.
+    d = derive(parse_program(ZIP_PROGRAM), parse_transform("I"))
+    d = replace(d, boundary=parse_program("input s :: ([a]<4>,[b]<4>)\nresult r = s\n"))
+    rep = verify(d, trials=5, seed=0)
+    assert rep == value_replay(d, 5, 0) and rep.failures == 5
+
+
+def test_verify_draws_each_trial_through_random_value(monkeypatch):
+    draws = []
+
+    def counted(t, rng):
+        draws.append(t)
+        return random_value(t, rng)
+
+    monkeypatch.setattr(derivation, "random_value", counted)
+    d = derive(parse_program(CHUNKED_MAP_OPAQUE), parse_transform("M ( S^-1 ) R^-1 3"))
+    rep = verify(d, trials=17, seed=1)
+    assert draws == [d.original.input_type] * 17
+    # reverse under Decrease(3) loses trials; the counterexample holds the
+    # values eval_program returns on its input.
+    assert rep.failures > 0
+    v, lhs, rhs = rep.first_counterexample
+    assert (lhs, rhs) == (eval_program(d.original, v), eval_program(d.boundary, v))
+    assert lhs != rhs
 
 
 def test_derivation_type_invariants():

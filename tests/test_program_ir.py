@@ -1,4 +1,5 @@
 import random
+import re
 from dataclasses import replace
 from functools import reduce
 
@@ -192,13 +193,13 @@ PROGRAM_PARSE_ERRORS = [
     (
         "input s :: [a]<0>; result r = s",
         ParseError,
-        "bad input type: size must be >= 1, got 0 at column 5 at line 1",
+        "bad input type: size must be >= 1, got 0 at line 1, column 16",
     ),
     (IN + "fn f :: a", ParseError, "signature needs at least one -> at line 2"),
     (
         IN + "fn f :: a -> [a",
         ParseError,
-        "bad type in signature: expected ']' at column 3 at line 2",
+        "bad type in signature: expected ']' at line 2, column 16",
     ),
     (F + "fn f :: a -> a", ParseError, "duplicate signature for f at line 3"),
     (IN + "fn f =", ParseError, "empty function definition at line 2"),
@@ -251,7 +252,7 @@ PROGRAM_PARSE_ERRORS = [
     (
         F + "stage g = foldl f [0,; result r = g s",
         ParseError,
-        "bad accumulator literal: expected a value at column 4 at line 3",
+        "bad accumulator literal: expected a value at line 3, column 22",
     ),
     (
         IN + "stage z = zipt whatever; result r = z s",
@@ -278,6 +279,9 @@ def test_parse_program_error_texts(text, error, message):
     with pytest.raises(error) as info:
         parse_program(lines(text))
     assert str(info.value) == message
+    # A nested type or literal error points at its column within the line.
+    column = re.search(r"column (\d+)$", message)
+    assert info.value.column == (column and int(column[1]))
 
 
 # Each StageTypeError that typecheck raises: the text, the error class and

@@ -32,10 +32,12 @@ from vectx.runtime import (
     TupVal,
     VecVal,
     apply_transform_value,
+    compile_columns,
     compile_program,
     conforms,
     eval_program,
     from_vector,
+    leaf_columns,
     parse_value,
     print_value,
     random_value,
@@ -112,6 +114,46 @@ def test_a_vector_of_pairs_of_vectors_conforms():
     v = parse_value("[([1,2],[3,4]),([5,6],[7,8]),([9,10],[11,12])]")
     assert conforms(v, parse_type("[([a]<2>,[b]<2>)]<3>"))
     assert not conforms(v, parse_type("[([a]<2>,[b]<3>)]<3>"))
+
+
+# Values that do not conform to a type, from the rows above: a wrong size, a
+# non-integer leaf, a ragged or misplaced part deep down, a plain tuple.
+NON_CONFORMING = [
+    (ints(1, 2, 3), "[a]<4>"),
+    (vv(1.5, 2), "[a]<2>"),
+    (vv(True, 2), "[a]<2>"),
+    (parse_value("[[[1,2],[3,4]],[[5,6]]]"), "[[[a]<2>]<2>]<2>"),
+    (parse_value("[[[1,2],(3,4)],[[5,6],[7,8]]]"), "[[[a]<2>]<2>]<2>"),
+    (parse_value("[[[1,2],[3,4]],[[5,6],[7,8,9]]]"), "[[[a]<2>]<2>]<2>"),
+    (vv(vv(ints(1, 2), ints(3, 4)), vv(ints(5, 6), ints(7, True))), "[[[a]<2>]<2>]<2>"),
+    (parse_value("[([1,2],[3,4]),([5,6],[7,8]),([9,10],[11,12])]"), "[([a]<2>,[b]<3>)]<3>"),
+    ((1, 2), "(a,b)"),
+]
+
+
+@pytest.mark.parametrize("v, text", NON_CONFORMING)
+def test_leaf_columns_are_none_where_a_value_does_not_conform(v, text):
+    t = parse_type(text)
+    assert leaf_columns(v, t) is None and not conforms(v, t)
+
+
+@pytest.mark.parametrize(
+    "text, type_text, columns",
+    [
+        ("7", "a", ((7,),)),
+        ("[[1,2],[3,4],[5,6]]", "[[a]<2>]<3>", ((1, 2, 3, 4, 5, 6),)),
+        ("([1,2],[3,4])", "([a]<2>,[b]<2>)", ((1, 2), (3, 4))),
+        (
+            "[([1,2],[3,4]),([5,6],[7,8]),([9,10],[11,12])]",
+            "[([a]<2>,[b]<2>)]<3>",
+            ((1, 2, 5, 6, 9, 10), (3, 4, 7, 8, 11, 12)),
+        ),
+        ("[((1,2),3),((4,5),6)]", "[((a,b),c)]<2>", ((1, 4), (2, 5), (3, 6))),
+    ],
+)
+def test_leaf_columns_hold_each_atoms_leaves_in_leaf_order(text, type_text, columns):
+    v, t = parse_value(text), parse_type(type_text)
+    assert leaf_columns(v, t) == columns and conforms(v, t)
 
 
 def test_scalars_are_plain_ints():
@@ -649,3 +691,21 @@ def test_level_pass_raises_what_a_direct_call_raises(monkeypatch, name, position
         p = Program("s", Atom("a"), fns, (("g", stage),), "r")
         got = _outcome(lambda: eval_program(p, _nest(nodes, levels)))
         assert got == _outcome(lambda: direct(levels))
+
+
+@pytest.mark.parametrize(
+    "input_type, fn, stage",
+    [
+        ("[[a]<2>]<3>", "fn f :: [a]<2> -> [a]<2>\nfn f = prim add1", "map f"),
+        ("[[a]<2>]<3>", "fn f :: b -> [a]<2> -> b\nfn f = prim add", "foldl f 0"),
+        ("[(a,b)]<3>", "fn f :: (a,b) -> (a,b)\nfn f = prim swap", "map f"),
+        ("[([a]<2>,[b]<3>)]<4>", "fn f :: ([a]<2>,[b]<3>) -> [(a,b)]<2>\nfn f = prim zipt", "map f"),
+        ("[[a]<2>]<3>", "fn f :: [a]<2> -> [a]<2>\nfn f = prim reverse", "map f"),
+    ],
+    ids=["scalar-map-of-vectors", "scalar-fold-of-vectors", "swap-kept", "zipt-ragged", "opaque"],
+)
+def test_compile_columns_leaves_other_stages_to_the_reference(input_type, fn, stage):
+    # A primitive declared at a signature its operation does not give, and an
+    # opaque primitive, have no column rule; the program runs on values.
+    p = parse_program(f"input s :: {input_type}\n{fn}\nstage g = {stage}\nresult r = g s\n")
+    assert compile_columns(p, typecheck(p).stage_types) is None
