@@ -10,9 +10,10 @@ bare tuple or a flat leaf buffer, because callers rebuild one with
 over immutable values, and comparisons of Python integers are exact, so
 semantic-preservation checks are bit-exact.
 
-``random_value`` draws all the leaves of a value in one C-level pass, and
-they are exactly the ``rng.randint(LEAF_MIN, LEAF_MAX)`` sequence, one call
-per leaf, so a seeded ``verify`` finds the same inputs and counterexamples.
+``random_value`` draws the leaves of a value in bulk, a batch of Mersenne
+Twister words per ``getrandbits`` call, and they are exactly the
+``rng.randint(LEAF_MIN, LEAF_MAX)`` sequence, one call per leaf, with the same
+final state, so a seeded ``verify`` finds the same inputs and counterexamples.
 
 A value reshape is "flatten the leaves, rebuild at the target type".  ``S``,
 ``R`` and ``M`` re-partition the ordered leaves without reordering them, so
@@ -193,22 +194,32 @@ LEAF_MIN, LEAF_MAX = -99, 99
 # A draw indexes this tuple rather than adding LEAF_MIN: every value then
 # shares these int objects, where a sum below -5 would be a new one per leaf.
 _LEAVES = tuple(range(LEAF_MIN, LEAF_MAX + 1))
-_LEAF_BITS = (len(_LEAVES) - 1).bit_length()
+_REJECTED = bytes(range(len(_LEAVES), 256))  # the 8-bit draws randint rejects
+_BATCH_WORDS = 2**16  # the most words one getrandbits call takes
 
 
 def random_value(t: VecType, rng: random.Random) -> Value:
     """A value of type t with leaves drawn from [LEAF_MIN, LEAF_MAX].  Past
     ``MAX_LEAVES`` leaves it raises ``ShapeError``, before any draw.
 
-    The leaves are drawn first to last in one pass, by the rejection sampling
-    that CPython's ``randint`` does (``_randbelow_with_getrandbits``):
-    ``getrandbits`` until a draw is in range.  So they are, and leave ``rng``
-    in the state of, one ``randint(LEAF_MIN, LEAF_MAX)`` call per leaf."""
+    The leaves are those of one ``randint(LEAF_MIN, LEAF_MAX)`` per leaf,
+    first to last, and ``rng`` is left in the same state.  In CPython that
+    ``randint`` draws ``getrandbits(8)`` until it is in range, and
+    ``getrandbits(8)`` is the top byte of one 32-bit Mersenne Twister word;
+    ``getrandbits(32 * m)`` is the next m words, the first least significant.
+    So a round takes the top bytes of one such call and drops the rejected
+    ones in C.  It asks for as many words as leaves are missing, at most
+    ``_BATCH_WORDS``: a word gives at most one leaf, so no word is taken that
+    per-leaf ``randint`` would not take."""
     n = _leaf_count(t)
     if n > MAX_LEAVES:
         raise ShapeError(f"a random value may have at most MAX_LEAVES = {MAX_LEAVES} leaves")
-    draws = filter(len(_LEAVES).__gt__, map(rng.getrandbits, repeat(_LEAF_BITS)))
-    return _build(t, map(_LEAVES.__getitem__, islice(draws, n)))
+    kept = bytearray()
+    while len(kept) < n:
+        m = min(n - len(kept), _BATCH_WORDS)
+        kept += rng.getrandbits(32 * m).to_bytes(4 * m, "little")[3::4].translate(None, _REJECTED)
+    # A trailing index keeps a tuple at n = 1; _build takes only the first n.
+    return _build(t, iter(operator.itemgetter(*kept, 0)(_LEAVES)))
 
 
 def _leaf_count(t: VecType) -> int:

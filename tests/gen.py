@@ -4,7 +4,7 @@ import random
 
 from vectx.errors import ShapeError
 from vectx.program_ir import UnziptStage, ZiptStage, stage_output_type
-from vectx.runtime import TupVal, VecVal
+from vectx.runtime import LEAF_MAX, LEAF_MIN, TupVal, VecVal
 from vectx.type_algebra import (
     Atom,
     Decrease,
@@ -50,6 +50,16 @@ def random_type(rng: random.Random, n: int, max_dims: int = 4, atom: str = "a"):
     for size in random_factorization(rng, n, max_dims):
         t = Vec(size, t)
     return t
+
+
+def randint_value(t, rng: random.Random):
+    """The reference draws: a value of type t, one ``rng.randint(LEAF_MIN,
+    LEAF_MAX)`` per leaf, first to last."""
+    if isinstance(t, Atom):
+        return rng.randint(LEAF_MIN, LEAF_MAX)
+    if isinstance(t, Pair):
+        return TupVal(randint_value(t.fst, rng), randint_value(t.snd, rng))
+    return VecVal(tuple(randint_value(t.element, rng) for _ in range(t.size)))
 
 
 def random_program_text(rng: random.Random, n: int, stages: int = 3) -> str:

@@ -8,6 +8,7 @@ import pytest
 
 from gen import (
     flatten,
+    randint_value,
     random_factorization,
     random_pipeline_text,
     random_program_text,
@@ -660,12 +661,13 @@ def test_column_runs_match_the_reference():
     }
 
 
-def value_replay(d, trials: int, seed: int) -> VerifyReport:
-    """The report of ``verify``, worked out by ``eval_program`` on values."""
+def value_replay(d, trials: int, seed: int, draw=random_value) -> VerifyReport:
+    """The report of ``verify``, worked out by ``eval_program`` on values
+    that ``draw`` gives."""
     rng = random.Random(seed)
     passes, first = 0, None
     for _ in range(trials):
-        v = random_value(d.original.input_type, rng)
+        v = draw(d.original.input_type, rng)
         lhs, rhs = eval_program(d.original, v), eval_program(d.boundary, v)
         if lhs == rhs:
             passes += 1
@@ -679,6 +681,35 @@ def test_verify_reports_what_a_replay_on_values_gives():
         rep = verify(d, trials=10, seed=3)
         assert rep == value_replay(d, 10, 3)
         assert not rep.hard_failure
+
+
+def test_verify_at_benchmark_size_replays_the_randint_draws(monkeypatch):
+    # The sizes of the verify workloads, where random_value draws in batches
+    # of words: verify draws the per-leaf randint values, and its report is
+    # what eval_program gives on them.
+    drawn = []
+
+    def recorded(t, rng):
+        drawn.append(random_value(t, rng))
+        return drawn[-1]
+
+    monkeypatch.setattr(derivation, "random_value", recorded)
+    p = parse_program(zip_swap_program((8192,)))
+    pair = Pair(from_dims(Atom("a"), (4, 8, 256)), from_dims(Atom("b"), (4, 8, 256)))
+    zip_swap = derive(p, path_between(p.input_type, pair))
+    assert len(zip_swap.input_steps) == 2
+    p = parse_program(
+        "input s :: [a]<16384>\nfn f :: a -> a\nfn f = prim add1\nfn h :: b -> a -> b\n"
+        "fn h = prim add\nstage m = map f\nstage g = foldl h 0\nresult r = m |> g s\n"
+    )
+    assoc = derive(p, path_between(p.input_type, from_dims(Atom("a"), (16, 1024))))
+    for d in (zip_swap, assoc):
+        drawn.clear()
+        rep = verify(d, 3, seed=11)
+        rng = random.Random(11)
+        assert drawn == [randint_value(d.original.input_type, rng) for _ in range(3)]
+        assert rep == value_replay(d, 3, 11, draw=randint_value)
+        assert rep.passes == 3
 
 
 def test_verify_compares_values_where_the_result_types_differ():

@@ -4,8 +4,10 @@ import random
 from functools import reduce
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from gen import flatten, random_applicable_transform, random_type, shape_of
+from gen import flatten, randint_value, random_applicable_transform, random_type, shape_of
 from vectx.errors import (
     DivisibilityError,
     LengthMismatchError,
@@ -194,16 +196,6 @@ def test_random_value_draws_are_pinned():
     assert print_value(v) == "([[-17,-61,2],[67,-87,-81]],[38,-75])"
 
 
-def randint_value(t, rng):
-    """The reference draws: one ``rng.randint(LEAF_MIN, LEAF_MAX)`` per leaf,
-    first to last."""
-    if isinstance(t, Atom):
-        return rng.randint(runtime.LEAF_MIN, runtime.LEAF_MAX)
-    if isinstance(t, Pair):
-        return TupVal(randint_value(t.fst, rng), randint_value(t.snd, rng))
-    return VecVal(tuple(randint_value(t.element, rng) for _ in range(t.size)))
-
-
 @pytest.mark.parametrize(
     "text",
     ["[a]<1>", "[a]<2>", "[a]<3>", "[a]<199>", "[a]<1000>", "[a]<7777>", "[a]<3><5><7>",
@@ -228,6 +220,87 @@ def test_random_value_refuses_more_than_max_leaves_before_drawing():
         with pytest.raises(ShapeError, match=f"MAX_LEAVES = {MAX_LEAVES}"):
             random_value(parse_type(text), rng)
     assert rng.getstate() == state
+
+
+# Ways to advance an rng mid-stream: random() takes two Mersenne Twister
+# words and getrandbits(5) one, so the draw that follows starts elsewhere.
+ADVANCES = {"random": random.Random.random, "getrandbits(5)": lambda rng: rng.getrandbits(5)}
+
+
+@st.composite
+def draw_types(draw):
+    """A vector type from ``gen.random_type``, a pair of two, or a vector of
+    such pairs."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    a, b = (random_type(rng, draw(st.integers(1, 700)), atom=x) for x in "ab")
+    kind = draw(st.sampled_from(["vector", "pair", "vector of pairs"]))
+    if kind == "vector":
+        return a
+    return Pair(a, b) if kind == "pair" else Vec(draw(st.integers(1, 4)), Pair(a, b))
+
+
+def assert_draws_randint_per_leaf(t, rng: random.Random, ref: random.Random):
+    v = random_value(t, rng)
+    assert v == randint_value(t, ref) and conforms(v, t)
+    assert rng.getstate() == ref.getstate()
+
+
+@given(draw_types(), st.integers(0, 2**32), st.lists(st.sampled_from(sorted(ADVANCES))))
+def test_random_value_draws_randint_per_leaf_mid_stream(t, seed, advances):
+    rng, ref = random.Random(seed), random.Random(seed)
+    for name in advances:
+        for r in (rng, ref):
+            ADVANCES[name](r)
+    assert_draws_randint_per_leaf(t, rng, ref)
+
+
+@pytest.mark.parametrize("text", ["a", "(a,b)", "[a]<1>", "([a]<1>,b)"])
+def test_random_value_draws_one_leaf_as_randint(text):
+    # One leaf and two: itemgetter of one index gives the item, not a 1-tuple.
+    for seed in range(200):
+        assert_draws_randint_per_leaf(parse_type(text), random.Random(seed), random.Random(seed))
+
+
+class CountingRandom(random.Random):
+    """A ``random.Random`` that records the width of each getrandbits call."""
+
+    def __init__(self, seed):
+        self.widths = []
+        super().__init__(seed)
+
+    def getrandbits(self, k):
+        self.widths.append(k)
+        return super().getrandbits(k)
+
+
+def test_random_value_refills_with_the_leaves_still_missing():
+    # Every round asks for as many words as leaves are missing, so no round
+    # is wider than the last; rejections make a draw take several.
+    rounds = []
+    for n in (5, 64, 1000, 16384):
+        for seed in range(10):
+            rng = CountingRandom(seed)
+            assert_draws_randint_per_leaf(Vec(n, Atom("a")), rng, random.Random(seed))
+            assert rng.widths[0] == 32 * n
+            assert all(w >= x > 0 for w, x in zip(rng.widths, rng.widths[1:]))
+            rounds.append(len(rng.widths))
+    assert max(rounds) >= 5
+
+
+def test_random_value_splits_a_draw_past_the_batch_cap():
+    cap = runtime._BATCH_WORDS
+    rng = CountingRandom(4)
+    t = parse_type(f"([a]<{cap}>,[[b]<2>]<{cap}>)")
+    assert_draws_randint_per_leaf(t, rng, random.Random(4))
+    assert rng.widths[:3] == [32 * cap] * 3 and max(rng.widths) == 32 * cap
+
+
+@pytest.mark.parametrize("cap", [1, 2, 7, 100])
+def test_random_value_draws_do_not_depend_on_the_batch_cap(monkeypatch, cap):
+    monkeypatch.setattr(runtime, "_BATCH_WORDS", cap)
+    for text in ("a", "[a]<1>", "[a]<250>", "[(a,[b]<3>)]<40>"):
+        for seed in range(5):
+            assert_draws_randint_per_leaf(parse_type(text), random.Random(seed), random.Random(seed))
 
 
 def test_reshape_round_trip():
