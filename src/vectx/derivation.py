@@ -11,8 +11,7 @@ worked out once, by ``type_algebra.steps_between``, from the source type and
 the type the transform reaches.  They flatten the source's outer levels and
 then chunk towards the target's, cancelling each level the two share, so a
 re-chunk of ``[[t]<k>]<m>`` to ``[[t]<n>]<k*m/n>`` is the two steps
-Decrease(k), Increase(n).  A transform that uses ``V`` is not a reshape and
-is rejected.
+Decrease(k), Increase(n).
 
 Each step is then pushed through the pipeline one stage at a time.  A stage
 consumes the steps arriving at its input and emits the steps describing how
@@ -24,7 +23,9 @@ stage into a short run of stages:
   foldl f    Decrease:    h if f is declared as h lifted, else f wrapped to
                           take each element replicated into a k-chunk;
                           preserved only under that condition, or at k = 1,
-                          where the wrapping is exact for any f.
+                          where the wrapping is exact for any f.  Where f
+                          changes the shape of its chunk, no wrapping types,
+                          and the stage is conjugated.
   zipt       Increase:    zipt then map zipt (zipt').
   unzipt     Increase:    map unzipt then unzipt (unzipt').
   otherwise  conjugate: the reshape that undoes the step, then the stage.
@@ -66,7 +67,6 @@ from typing import Callable, NamedTuple, Optional, Union, get_args
 from .errors import DerivationError, VectxError
 from .program_ir import (
     ElementwiseDef,
-    FnDef,
     FnSig,
     FoldOfDef,
     FoldStage,
@@ -93,6 +93,7 @@ from .runtime import (
     compile_columns,
     compile_program,
     leaf_columns,
+    primitive_type,
     random_value,
 )
 from .type_algebra import (
@@ -105,12 +106,10 @@ from .type_algebra import (
     VecType,
     apply_transform,
     invert_step,
-    print_op,
     print_step,
     print_type,
     step_apply,
     steps_between,
-    wrap_op,
 )
 
 # ---------------------------------------------------------------------------
@@ -119,11 +118,6 @@ from .type_algebra import (
 
 def factor_transform(tr: Transform, t: VecType) -> tuple[Step, ...]:
     """Rewrite a transform of t into canonical steps with the same effect."""
-    op = wrap_op(tr)
-    if op is not None:
-        raise DerivationError(
-            f"{print_op(op)} replicates or projects, so it is not a reshape and has no derivation"
-        )
     target = apply_transform(tr, t)
     try:
         steps = steps_between(t, target)
@@ -203,8 +197,9 @@ def _ensure(fns: dict[str, OpaqueFn], fn: OpaqueFn) -> str:
 @dataclass(frozen=True)
 class StepResult:
     """The stages that replace a stage, or a run of stages, under one step;
-    the step that leaves them (``None`` once consumed); the verdict; and,
-    from ``derive_step``, the ``RULES`` names applied, in order."""
+    the step that leaves them (``None`` once consumed); the verdict; and the
+    ``RULES`` names applied, in order: from a rule, only where it fell back
+    to another rule, and from ``derive_step``, all of them."""
 
     stages: tuple[Stage, ...]
     out_step: Optional[Step]
@@ -212,36 +207,22 @@ class StepResult:
     rules: tuple[str, ...] = ()
 
 
-def _define(name: str, defn: FnDef, fn: OpaqueFn, k: int, error: str) -> OpaqueFn:
-    """The function ``name = defn`` over fn, typed by ``defn_sig`` at width
-    k; a ``DerivationError`` saying ``error`` when fn does not fit."""
-    sig = defn_sig(defn, fn.sig, k)
-    if sig is None:
-        raise DerivationError(error)
-    return OpaqueFn(name, sig, defn)
-
-
 class _Chunk(NamedTuple):
     """The chunk rules' row for a stage kind (see the module docstring): how
-    f is lifted and wrapped, with name tags, the signature wrapping needs, the
-    condition that f is h lifted, and whether the step passes on."""
+    f is lifted and wrapped, with name tags, the condition that f is h
+    lifted, and whether the step passes on."""
 
     lift: type
     lift_tag: str
     wrap: type
     wrap_tag: str
-    chunk_sig: str
     condition: str
     passes: bool
 
 
 _CHUNK = {
-    MapStage: _Chunk(
-        ElementwiseDef, "m", WrapElemDef, "we", "[t]<{k}> -> [t']<{k}>", "f = map h", True
-    ),
-    FoldStage: _Chunk(
-        FoldOfDef, "f", WrapFoldDef, "wf", "b -> [t]<{k}> -> b", "f = foldl h", False
-    ),
+    MapStage: _Chunk(ElementwiseDef, "m", WrapElemDef, "we", "f = map h", True),
+    FoldStage: _Chunk(FoldOfDef, "f", WrapFoldDef, "wf", "f = foldl h", False),
 }
 
 
@@ -250,8 +231,11 @@ def _chunk_increase(
 ) -> StepResult:
     """f lifted to k-chunks: always preserved."""
     row, fn, k = _CHUNK[type(stage)], fns[stage.fn], step.k
-    error = f"cannot lift {print_stage(stage)} to {k}-chunks"
-    lifted = _define(f"{fn.name}__{row.lift_tag}{k}", row.lift(fn.name), fn, k, error)
+    lift = row.lift(fn.name)
+    sig = defn_sig(lift, fn.sig, k)
+    if sig is None:
+        raise DerivationError(f"cannot lift {print_stage(stage)} to {k}-chunks")
+    lifted = OpaqueFn(f"{fn.name}__{row.lift_tag}{k}", sig, lift)
     out_step = step if row.passes else None
     return StepResult((replace(stage, fn=_ensure(fns, lifted)),), out_step, Preserved())
 
@@ -261,12 +245,16 @@ def _chunk_decrease(
 ) -> StepResult:
     """h where f is declared as h lifted (the condition holds); otherwise f
     wrapped to replicate into it and project (the condition does not hold;
-    it counts as holding at k = 1, where the wrapping is exact for any f)."""
+    it counts as holding at k = 1, where the wrapping is exact for any f).
+    Where f changes the shape of its chunk, no wrapping types: the stage is
+    conjugated, which is exact."""
     row, fn, k = _CHUNK[type(stage)], fns[stage.fn], step.k
-    sig = row.chunk_sig.format(k=k)
-    error = f"cannot flatten {print_stage(stage)}: its signature is not {sig}"
-    wrapped = _define(f"{fn.name}__{row.wrap_tag}{k}", row.wrap(fn.name, k), fn, k, error)
+    wrap = row.wrap(fn.name, k)
+    sig = defn_sig(wrap, fn.sig, k)
+    if sig is None:
+        return replace(_conjugate(step, stage, in_type, fns), rules=("conjugate",))
     lifted = isinstance(fn.defn, row.lift)
+    wrapped = OpaqueFn(f"{fn.name}__{row.wrap_tag}{k}", sig, wrap)
     name = fn.defn.fn if lifted else _ensure(fns, wrapped)
     verdict = ConditionallyPreserved(row.condition, lifted or k == 1)
     return StepResult((replace(stage, fn=name),), step if row.passes else None, verdict)
@@ -275,21 +263,23 @@ def _chunk_decrease(
 def _zipt_increase(
     step: Increase, stage: ZiptStage, in_type: Pair, fns: dict[str, OpaqueFn]
 ) -> StepResult:
-    k, e1, e2 = step.k, in_type.fst.element, in_type.snd.element
-    pair_fn = OpaqueFn(
-        "ztp", FnSig((Pair(Vec(k, e1), Vec(k, e2)),), Vec(k, Pair(e1, e2))), PrimDef("zipt")
-    )
+    """zipt of the pair of chunked vectors, then zipt of each pair of chunks."""
+    chunks = primitive_type("zipt", (step_apply(step, in_type),)).element
+    pair_fn = _prim_fn("ztp", "zipt", chunks)
     return StepResult((stage, MapStage(_ensure(fns, pair_fn))), step, Preserved())
 
 
 def _unzipt_increase(
     step: Increase, stage: UnziptStage, in_type: Vec, fns: dict[str, OpaqueFn]
 ) -> StepResult:
-    k, e1, e2 = step.k, in_type.element.fst, in_type.element.snd
-    unpair_fn = OpaqueFn(
-        "uztp", FnSig((Vec(k, Pair(e1, e2)),), Pair(Vec(k, e1), Vec(k, e2))), PrimDef("unzipt")
-    )
+    """unzipt of each chunk of pairs, then unzipt of the vector it gives."""
+    unpair_fn = _prim_fn("uztp", "unzipt", step_apply(step, in_type).element)
     return StepResult((MapStage(_ensure(fns, unpair_fn)), stage), step, Preserved())
+
+
+def _prim_fn(name: str, prim: str, arg: VecType) -> OpaqueFn:
+    """Function ``name``, primitive ``prim`` over one argument of type arg."""
+    return OpaqueFn(name, FnSig((arg,), primitive_type(prim, (arg,))), PrimDef(prim))
 
 
 def _conjugate(step: Step, stage: Stage, in_type: VecType, fns: dict[str, OpaqueFn]) -> StepResult:
@@ -335,7 +325,7 @@ def derive_step(
         res = rule(step, stage, in_type, fns)
         out += res.stages
         verdicts.append(res.verdict)
-        rules.append(name)
+        rules += res.rules or (name,)
         step = res.out_step
     return StepResult(tuple(out), step, combine_verdicts(verdicts), tuple(rules))
 
@@ -526,10 +516,10 @@ def verify(d: Derivation, trials: int = 100, seed: int = 0) -> VerifyReport:
 def _column_runs(d: Derivation) -> list[Callable[[Value, Columns], object]]:
     """For the original and the boundary program, ``v, columns -> result``
     on an input v whose leaf columns are ``columns``.  A result is its leaf
-    columns, or, where it does not conform to its type, the result itself in
-    a list, which equals no columns and compares as the values do.  Columns
-    stand for values only at one type: if the two programs do not typecheck
-    to the same input and result types, each result is a value in a list."""
+    columns: a well-typed program's result conforms to its result type.
+    Columns stand for values only at one type: if the two programs do not
+    typecheck to the same input and result types, each result is the value
+    itself in a list, which compares as the values do."""
     programs = (d.original, d.boundary)
     try:
         typed = [typecheck(p) for p in programs]
@@ -546,15 +536,10 @@ def _column_run(
     """One program's run for ``_column_runs``: on columns where
     ``compile_columns`` compiles it, else on values by its
     ``compile_program`` closure; untyped, its result is a value in a list."""
-    native = None if typed is None else compile_columns(program, typed.stage_types)
+    native = None if typed is None else compile_columns(typed)
     if native is not None:
         return lambda v, columns: native(columns)
     run = compile_program(program)
     if typed is None:
         return lambda v, columns: [run(v)]
-
-    def reference(v, columns):
-        out = run(v)
-        return leaf_columns(out, typed.result_type) or [out]
-
-    return reference
+    return lambda v, columns: leaf_columns(run(v), typed.result_type)

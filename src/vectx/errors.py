@@ -34,10 +34,6 @@ class ShapeError(VectxError):
     """Raised when a type or value lacks the structure an operation needs."""
 
 
-class TypeMismatchError(VectxError):
-    """Raised by a checked unwrap whose argument is not the expected vector."""
-
-
 class SizeMismatchError(VectxError):
     """Raised when two types that must share a total size do not."""
 

@@ -19,7 +19,8 @@ Blank lines and ``#`` comments are ignored.  Stages run left to right, and
 each declared stage appears exactly once in ``result``.  Functions are
 opaque to everything except the interpreter: only their signatures and
 declared structure (``elementwise``/``foldof``) matter to the derivation
-rules.
+rules.  ``typecheck`` admits a primitive only at a signature its operation
+gives (``runtime.primitive_type``), up to the names of atoms.
 """
 
 from __future__ import annotations
@@ -27,9 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .errors import ParseError, StageTypeError, VectxError
-from .runtime import PRIMITIVES, Value, conforms, parse_value, print_value
+from .errors import ParseError, ShapeError, StageTypeError, VectxError
+from .runtime import PRIMITIVES, Value, conforms, parse_value, primitive_type, print_value
 from .type_algebra import (
+    Atom,
     Decrease,
     Increase,
     Pair,
@@ -233,20 +235,12 @@ def stage_output_type(
                 f"accumulator {print_value(stage.acc)} does not conform to {print_type(acc_t)}",
             )
         return acc_t
-    if isinstance(stage, ZiptStage):
-        if (
-            not isinstance(t, Pair)
-            or not isinstance(t.fst, Vec)
-            or not isinstance(t.snd, Vec)
-        ):
-            _fail(name, f"zipt needs a pair of vectors, got {print_type(t)}")
-        if t.fst.size != t.snd.size:
-            _fail(name, f"zipt needs equal lengths, got {t.fst.size} and {t.snd.size}")
-        return Vec(t.fst.size, Pair(t.fst.element, t.snd.element))
-    if isinstance(stage, UnziptStage):
-        if not isinstance(t, Vec) or not isinstance(t.element, Pair):
-            _fail(name, f"unzipt needs a vector of pairs, got {print_type(t)}")
-        return Pair(Vec(t.size, t.element.fst), Vec(t.size, t.element.snd))
+    if isinstance(stage, (ZiptStage, UnziptStage)):
+        kind = _STAGE_KEYWORD[type(stage)]  # the stage runs the primitive of its name
+        try:
+            return primitive_type(kind, (t,))
+        except ShapeError as e:
+            _fail(name, f"{kind} {e}")
     if isinstance(stage, ReshapeStage):
         try:
             return step_apply(stage.step, t)
@@ -260,11 +254,8 @@ def _check_fn(fn: OpaqueFn, fns: dict[str, OpaqueFn]):
     if d is None:
         return
     if isinstance(d, PrimDef):
-        if d.prim in PRIMITIVES and PRIMITIVES[d.prim][0] != len(fn.sig.args):
-            raise StageTypeError(
-                f"fn {fn.name}: primitive {d.prim} takes {PRIMITIVES[d.prim][0]} "
-                f"arguments but the signature has {len(fn.sig.args)}"
-            )
+        if d.prim in PRIMITIVES:
+            _check_prim(fn, d.prim)
         return
     if d.fn not in fns:
         raise StageTypeError(f"fn {fn.name}: unknown function {d.fn}")
@@ -287,6 +278,30 @@ def _check_fn(fn: OpaqueFn, fns: dict[str, OpaqueFn]):
             f"fn {fn.name}: {kind} {h.name} needs signature b -> [{print_type(args[1])}]<k> -> b"
         )
     raise StageTypeError(f"fn {fn.name}: {kind} signature mismatch")
+
+
+def _check_prim(fn: OpaqueFn, prim: str):
+    """That fn's signature is one primitive ``prim`` has, up to the names of
+    its atoms."""
+    arity, args = PRIMITIVES[prim][0], fn.sig.args
+    try:
+        if arity != len(args):
+            raise ShapeError(f"takes {arity} arguments but the signature has {len(args)}")
+        ret = primitive_type(prim, args)
+        if not _same_shape(ret, fn.sig.ret):
+            sig_ret = print_type(fn.sig.ret)
+            raise ShapeError(f"returns {print_type(ret)} but the signature has {sig_ret}")
+    except ShapeError as e:
+        raise StageTypeError(f"fn {fn.name}: primitive {prim} {e}") from None
+
+
+def _same_shape(t: VecType, u: VecType) -> bool:
+    """Whether t and u differ at most in the names of their atoms."""
+    if type(t) is Vec:
+        return type(u) is Vec and t.size == u.size and _same_shape(t.element, u.element)
+    if type(t) is Pair:
+        return type(u) is Pair and _same_shape(t.fst, u.fst) and _same_shape(t.snd, u.snd)
+    return type(u) is Atom
 
 
 def typecheck(program: Program) -> TypedProgram:

@@ -24,10 +24,9 @@ It is the one value-level reshape: ``reshape_to``/``reshape_from`` and the
 through it (``_step_fn``).  There is no per-operation value interpreter:
 ``type_algebra`` is the only statement of what each operation does.
 
-``V`` is type-level only: replication and projection are not reshapes.  The
-``to_vector``/``from_vector`` functions replicate and project for the
-``wrapelem``/``wrapfold`` functions, and ``zipt``/``unzipt`` convert between
-a pair of vectors and a vector of pairs.
+Replication and projection are not reshapes: ``to_vector``/``from_vector``
+replicate and project for the ``wrapelem``/``wrapfold`` functions, and
+``zipt``/``unzipt`` convert between a pair of vectors and a vector of pairs.
 
 A program is compiled once and then run.  ``compile_program`` walks its
 stages and its function table a single time and returns one closure: each
@@ -43,7 +42,10 @@ backwards.  ``eval_program`` compiles and then runs; it is the exact
 reference the derivations are checked against.
 
 Each primitive is stated once, in ``_TABLE``: the class of each argument
-(or none, where the operation checks it itself) and the plain operation.
+(or none, where the operation checks it itself), the plain operation, and
+the type it returns on arguments of given types (``primitive_type``), which
+is how ``typecheck`` checks a primitive's declared signature and types the
+``zipt`` and ``unzipt`` stages.  Atoms are labels there, as in ``conforms``.
 ``PRIMITIVES`` checks the classes first to last on every call.  A ``map`` or
 ``foldl`` pass checks them once per level and runs the plain operation on
 every node; if that check fails, it calls the checked primitive node by
@@ -56,11 +58,14 @@ makes, and gives ``None`` where the value does not conform.  Since ``S``,
 ``R`` and ``M`` never reorder leaves, a reshape, ``zipt`` or ``unzipt``
 stage leaves the columns as they are, and so does a ``map`` of ``zipt`` or
 ``unzipt``; ``compile_columns`` compiles every other ``map`` and ``foldl``
-of a scalar primitive or ``swap`` to a pass over whole columns, from the
-plain operations of ``_TABLE``.  A program with another stage (``reverse``,
-``sum``, ``add_head``, a ``wrapelem`` or ``wrapfold`` function) has no
-column form, and runs by ``compile_program``.  ``derivation.verify`` replays
-its trials on columns; ``eval_program`` stays the reference, on values.
+of a scalar primitive or ``swap`` to a pass over whole columns, the rule
+and the plain operation read from the primitive's ``_TABLE`` row.  It runs
+on a typed program only, whose primitives are declared at signatures their
+rows give, so it checks no signature itself.  A program with another stage
+(``reverse``, ``sum``, ``add_head``, a ``wrapelem`` or ``wrapfold``
+function) has no column form, and runs by ``compile_program``.
+``derivation.verify`` replays its trials on columns; ``eval_program`` stays
+the reference, on values.
 """
 
 from __future__ import annotations
@@ -79,7 +84,6 @@ from .errors import (
     MissingPrimitiveError,
     ParseError,
     ShapeError,
-    VectxError,
 )
 from .type_algebra import (
     MAX_LEAVES,
@@ -96,11 +100,9 @@ from .type_algebra import (
     dims_of,
     from_dims,
     leaf_of,
-    print_op,
     print_step,
     print_type,
     step_transform,
-    wrap_op,
 )
 
 # ---------------------------------------------------------------------------
@@ -319,9 +321,7 @@ def apply_transform_value(tr: Transform, v: Value) -> Value:
     vector above it is checked, and a ragged one raises ``ShapeError``.
 
     As at the type level, only a top-level pair is split; a pair that is the
-    element of a vector is a leaf.  ``V`` is type-level only: it replicates
-    and projects, which is not a reshape, so a transform using it raises
-    ``ShapeError``."""
+    element of a vector is a leaf."""
     if isinstance(v, TupVal):
         return TupVal(apply_transform_value(tr, v.fst), apply_transform_value(tr, v.snd))
     sizes = []  # outermost first
@@ -356,9 +356,6 @@ def _reshape_plan(tr: Transform, sizes: tuple[int, ...]) -> tuple[tuple[int, ...
     """For a value of outermost-first ``sizes``, the sizes to unfold it by,
     outermost first, and to rebuild its leaves at, innermost first.  The
     innermost run of sizes it shares with its image under tr is left out."""
-    op = wrap_op(tr)
-    if op is not None:
-        raise ShapeError(f"{print_op(op)} replicates or projects; a value can only be reshaped")
     dims = sizes[::-1]
     target = dims_of(apply_transform(tr, from_dims(Atom("_"), dims)))
     shared = 0
@@ -482,24 +479,93 @@ def _add_head(acc, chunk: VecVal) -> int:
     return acc + head
 
 
-# name -> (argument classes, plain operation).  A two-argument primitive
+# The signature of each primitive: the type it returns on arguments of the
+# given types, or a ShapeError saying what it needs.
+
+
+def _needs(what: str, t: VecType) -> ShapeError:
+    """The error of a primitive that needs ``what`` and is given t."""
+    return ShapeError(f"needs {what}, got {print_type(t)}")
+
+
+def _atoms_type(*args: VecType) -> VecType:
+    """``a -> a`` and ``a -> a -> a``."""
+    for t in args:
+        if type(t) is not Atom:
+            raise _needs("an atom", t)
+    return args[0]
+
+
+def _sum_type(xs: VecType) -> VecType:
+    """``[a]<k> -> a``."""
+    if type(xs) is not Vec or type(xs.element) is not Atom:
+        raise _needs("a vector of atoms", xs)
+    return xs.element
+
+
+def _reverse_type(xs: VecType) -> VecType:
+    """``[t]<k> -> [t]<k>``."""
+    if type(xs) is not Vec:
+        raise _needs("a vector", xs)
+    return xs
+
+
+def _add_head_type(acc: VecType, xs: VecType) -> VecType:
+    """``a -> [a]<k> -> a``."""
+    _atoms_type(acc)
+    _sum_type(xs)
+    return acc
+
+
+def _swap_type(t: VecType) -> VecType:
+    """``(t,u) -> (u,t)``."""
+    if type(t) is not Pair:
+        raise _needs("a pair", t)
+    return Pair(t.snd, t.fst)
+
+
+def _zipt_type(t: VecType) -> VecType:
+    """``([t]<n>,[u]<n>) -> [(t,u)]<n>``."""
+    if type(t) is not Pair or type(t.fst) is not Vec or type(t.snd) is not Vec:
+        raise _needs("a pair of vectors", t)
+    if t.fst.size != t.snd.size:
+        raise ShapeError(f"needs equal lengths, got {t.fst.size} and {t.snd.size}")
+    return Vec(t.fst.size, Pair(t.fst.element, t.snd.element))
+
+
+def _unzipt_type(t: VecType) -> VecType:
+    """``[(t,u)]<n> -> ([t]<n>,[u]<n>)``."""
+    if type(t) is not Vec or type(t.element) is not Pair:
+        raise _needs("a vector of pairs", t)
+    return Pair(Vec(t.size, t.element.fst), Vec(t.size, t.element.snd))
+
+
+# name -> (argument classes, plain operation, signature).  A class is None
+# where the operation checks the argument itself.  A two-argument primitive
 # returns a value of its accumulator's class, so a plain fold stays plain.
-_TABLE: dict[str, tuple[tuple[Optional[type], ...], Callable[..., Value]]] = {
-    "add1": ((int,), lambda x: x + 1),
-    "mul3": ((int,), lambda x: x * 3),
-    "negate": ((int,), operator.neg),
-    "add": ((int, int), operator.add),
-    "mul": ((int, int), operator.mul),
-    "max": ((int, int), lambda acc, x: x if x > acc else acc),
+_TABLE: dict[str, tuple[tuple[Optional[type], ...], Callable[..., Value], Callable]] = {
+    "add1": ((int,), lambda x: x + 1, _atoms_type),
+    "mul3": ((int,), lambda x: x * 3, _atoms_type),
+    "negate": ((int,), operator.neg, _atoms_type),
+    "add": ((int, int), operator.add, _atoms_type),
+    "mul": ((int, int), operator.mul, _atoms_type),
+    "max": ((int, int), lambda acc, x: x if x > acc else acc, _atoms_type),
     # Non-commutative on purpose: order bugs change the result.
-    "dec_shift": ((int, int), lambda acc, x: 10 * acc + x),
-    "sum": ((VecVal,), _sum),
-    "reverse": ((VecVal,), lambda xs: VecVal(xs.items[::-1])),
-    "swap": ((TupVal,), lambda t: tuple.__new__(TupVal, t[::-1])),
-    "add_head": ((None, VecVal), _add_head),
-    "zipt": ((None,), zipt),
-    "unzipt": ((None,), unzipt),
+    "dec_shift": ((int, int), lambda acc, x: 10 * acc + x, _atoms_type),
+    "sum": ((VecVal,), _sum, _sum_type),
+    "reverse": ((VecVal,), lambda xs: VecVal(xs.items[::-1]), _reverse_type),
+    "swap": ((TupVal,), lambda t: tuple.__new__(TupVal, t[::-1]), _swap_type),
+    "add_head": ((None, VecVal), _add_head, _add_head_type),
+    "zipt": ((None,), zipt, _zipt_type),
+    "unzipt": ((None,), unzipt, _unzipt_type),
 }
+
+
+def primitive_type(name: str, args: tuple[VecType, ...]) -> VecType:
+    """The type primitive ``name`` returns on arguments of the types
+    ``args``, one per argument; a ``ShapeError`` says what it needs where it
+    cannot take them.  Atoms are labels: the result may name other atoms."""
+    return _TABLE[name][2](*args)
 
 
 def _guard(classes: tuple[Optional[type], ...], op: Callable[..., Value]) -> Callable[..., Value]:
@@ -515,11 +581,11 @@ def _guard(classes: tuple[Optional[type], ...], op: Callable[..., Value]) -> Cal
 
 
 PRIMITIVES: dict[str, tuple[int, Callable[..., Value]]] = {
-    name: (len(classes), _guard(classes, op)) for name, (classes, op) in _TABLE.items()
+    name: (len(classes), _guard(classes, op)) for name, (classes, op, _) in _TABLE.items()
 }
 
 # A checked primitive -> its argument classes and plain operation.
-_PLAIN = {PRIMITIVES[name][1]: entry for name, entry in _TABLE.items()}
+_PLAIN = {PRIMITIVES[name][1]: row[:2] for name, row in _TABLE.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -702,71 +768,45 @@ def _chain(fs: list[Callable[[Value], Value]]) -> Callable[[Value], Value]:
     return chain
 
 
-def compile_columns(program, stage_types) -> Optional[Callable[[Columns], Columns]]:
-    """Compile a typed pipeline into one closure from the leaf columns of its
-    input to those of its result, or ``None`` when a stage has no column
-    rule.  ``stage_types`` are the stages' input and output types, as
-    ``typecheck`` gives them.
+def compile_columns(typed) -> Optional[Callable[[Columns], Columns]]:
+    """Compile a typed pipeline, as ``typecheck`` gives it, into one closure
+    from the leaf columns of its input to those of its result, or ``None``
+    when a stage has no column rule.
 
     A reshape, ``zipt`` or ``unzipt`` stage moves no leaf, so it runs as
     nothing.  A ``map`` or ``foldl`` stage reaches its base function through
-    its chain of ``elementwise`` or ``foldof`` definitions.  A ``map`` of a
-    scalar primitive maps its plain operation over the one column; a ``map``
-    of ``swap`` puts the columns of the pair's second part before those of
-    its first; a ``map`` of ``zipt`` or ``unzipt`` runs as nothing.  A
-    ``foldl`` of a scalar step from a scalar accumulator is one ``reduce``
-    of the column.  Each rule holds only where the base's signature is the
-    one its operation gives, so the closure returns the columns of what
+    its chain of ``elementwise`` or ``foldof`` definitions, and the base's
+    ``_TABLE`` row gives the rule.  A ``map`` of a scalar primitive maps its
+    plain operation over the one column; a ``map`` of ``swap`` puts the
+    columns of the pair's second part before those of its first; a ``map``
+    of ``zipt`` or ``unzipt`` runs as nothing.  A ``foldl`` of a scalar step
+    is one ``reduce`` of the column.  ``typecheck`` admits a primitive only at
+    a signature its row gives, so the closure returns the columns of what
     ``compile_program`` returns on the same input."""
-    from .program_ir import (
-        ElementwiseDef,
-        FoldOfDef,
-        FoldStage,
-        MapStage,
-        PrimDef,
-        ReshapeStage,
-        UnziptStage,
-        ZiptStage,
-        stage_output_type,
-    )
+    from .program_ir import ElementwiseDef, FoldOfDef, FoldStage, MapStage, PrimDef
 
-    fns = program.fns
+    fns = typed.program.fns
     runs: list[Callable[[Columns], Columns]] = []
-    for (_, s), (in_t, _) in zip(program.stages, stage_types):
-        if isinstance(s, (ReshapeStage, ZiptStage, UnziptStage)):
-            continue
+    for _, s in typed.program.stages:
         if not isinstance(s, (MapStage, FoldStage)):
+            continue
+        fold = isinstance(s, FoldStage)
+        _, base = _unnest(fns, s.fn, FoldOfDef if fold else ElementwiseDef)
+        fn = fns[base]
+        if not isinstance(fn.defn, PrimDef) or fn.defn.prim not in _TABLE:
             return None
-        levels, base = _unnest(fns, s.fn, ElementwiseDef if isinstance(s, MapStage) else FoldOfDef)
-        e = in_t  # the type of the nodes the base runs on
-        for _ in range(levels):
-            if not isinstance(e, Vec):
-                return None
-            e = e.element
-        fn = fns.get(base)
-        d = None if fn is None else fn.defn
-        if not isinstance(d, PrimDef) or d.prim not in _TABLE:
-            return None
-        classes, op = _TABLE[d.prim]
-        args, ret = fn.sig.args, fn.sig.ret
-        scalar = all(isinstance(x, Atom) for x in (*args, ret))
-        if isinstance(s, FoldStage):
-            if classes != (int, int) or not scalar or type(s.acc) is not int:
+        prim = fn.defn.prim
+        classes, op, _ = _TABLE[prim]
+        if fold:
+            if classes != (int, int):
                 return None
             runs.append(lambda cols, op=op, acc=s.acc: ((reduce(op, cols[0], acc),),))
-        elif classes == (int,) and scalar:
+        elif classes == (int,):
             runs.append(lambda cols, op=op: (tuple(map(op, cols[0])),))
-        elif d.prim == "swap" and isinstance(e, Pair) and ret == Pair(e.snd, e.fst):
-            n = _atoms(e.fst)
+        elif prim == "swap":
+            n = _atoms(fn.sig.args[0].fst)
             runs.append(lambda cols, n=n: cols[n:] + cols[:n])
-        elif d.prim in ("zipt", "unzipt"):
-            stage = ZiptStage() if d.prim == "zipt" else UnziptStage()
-            try:
-                if stage_output_type(stage, e, fns) != ret:
-                    return None
-            except VectxError:
-                return None
-        else:
+        elif prim not in ("zipt", "unzipt"):
             return None
     return _chain(runs)
 

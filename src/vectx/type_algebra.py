@@ -16,13 +16,10 @@ Transforms are sequences of primitive operations applied right to left:
     M ( F )  apply transform F to the element type
     R m      move a factor m from the outer size to the inner size
     R^-1 m   move a factor m from the inner size to the outer size
-    V k      wrap in a size-k vector (replication)
-    V^-1 k   checked unwrap of a size-k vector
     I        identity: no operation (``I`` is the empty transform's text)
 
-``S``, ``M`` and ``R`` never change the total size of a type; ``V`` does and
-is excluded from the size-invariance guarantees.  Every transform built from
-these operations is invertible.
+None of them changes the total size of a type, and every transform built from
+them is invertible.
 
 A reshape goes between two vector types with the same leaf and the same total
 size, and factors into the canonical steps ``Increase`` and ``Decrease``.
@@ -31,9 +28,9 @@ The steps between two types are worked out once, here (``steps_between``);
 through a pipeline.
 
 ``S``, ``M`` and ``R`` re-partition the ordered leaves without reordering
-them, so the types alone fix what they do to a value.  ``V`` replicates and
-projects; it lives at the type level only (``wrap_op`` finds it), and the
-derivation and the value layer reject it.
+them, so the types alone fix what they do to a value.  Replication and
+projection are not reshapes and have no operation here: the ``wrapelem`` and
+``wrapfold`` definitions of a program replicate and project its elements.
 """
 
 from __future__ import annotations
@@ -50,7 +47,6 @@ from .errors import (
     ParseError,
     ShapeError,
     SizeMismatchError,
-    TypeMismatchError,
     VectxError,
 )
 
@@ -160,28 +156,13 @@ class RegroupInv(_CountedOp):
     m: int
 
 
-@dataclass(frozen=True)
-class Wrap(_CountedOp):
-    """t becomes [t]<k>; grows the total size."""
-
-    k: int
-
-
-@dataclass(frozen=True)
-class Unwrap(_CountedOp):
-    """Checked unwrap: [t]<k> becomes t, error on any other argument."""
-
-    k: int
-
-
-TypeOp = Union[Lift, Unlift, MapElem, Regroup, RegroupInv, Wrap, Unwrap]
+TypeOp = Union[Lift, Unlift, MapElem, Regroup, RegroupInv]
 
 # The text of each operation but ``M``: its keyword, its class, the class of
 # its inverse, whose keyword adds ``^-1``, and the name of its integer, if any.
 _OPS = {
     "S": (Lift, Unlift, None),
     "R": (Regroup, RegroupInv, "regroup factor"),
-    "V": (Wrap, Unwrap, "wrap size"),
 }
 
 
@@ -286,27 +267,7 @@ def _apply_op(op: TypeOp, t: VecType) -> VecType:
                 f"R^-1 {op.m}: inner size {t.element.size} is not a multiple of {op.m}"
             )
         return Vec(t.size * op.m, Vec(t.element.size // op.m, t.element.element))
-    if isinstance(op, Wrap):
-        return Vec(op.k, t)
-    if isinstance(op, Unwrap):
-        if not isinstance(t, Vec) or t.size != op.k:
-            raise TypeMismatchError(f"V^-1 {op.k} does not apply to {print_type(t)}")
-        return t.element
     raise TypeError(f"unknown operation {op!r}")
-
-
-def wrap_op(tr: Transform) -> Optional[TypeOp]:
-    """The first ``V k`` or ``V^-1 k`` in tr at any depth, or None.
-
-    ``V`` replicates and ``V^-1`` projects, so a transform that uses either is
-    not a reshape: it has no derivation and no value-level counterpart.
-    """
-    for op in tr.ops:
-        if isinstance(op, (Wrap, Unwrap)):
-            return op
-        if isinstance(op, MapElem) and (inner := wrap_op(op.inner)) is not None:
-            return inner
-    return None
 
 
 def invert_op(op: TypeOp) -> TypeOp:

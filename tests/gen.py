@@ -16,9 +16,8 @@ from vectx.type_algebra import (
     RegroupInv,
     Transform,
     Unlift,
-    Unwrap,
     Vec,
-    Wrap,
+    apply_op,
     dims_of,
     from_dims,
     leaf_of,
@@ -211,7 +210,7 @@ def random_structural_transform(rng: random.Random, depth: int = 0) -> Transform
     """Random op sequence with no applicability guarantee."""
     ops = []
     for _ in range(rng.randint(0, 5)):
-        kind = rng.randint(0, 7 if depth < 2 else 6)
+        kind = rng.randint(0, 5 if depth < 2 else 4)
         if kind == 0:
             ops.append(Lift())
         elif kind == 1:
@@ -222,17 +221,13 @@ def random_structural_transform(rng: random.Random, depth: int = 0) -> Transform
             ops.append(Regroup(rng.randint(1, 6)))
         elif kind == 4:
             ops.append(RegroupInv(rng.randint(1, 6)))
-        elif kind == 5:
-            ops.append(Wrap(rng.randint(1, 4)))
-        elif kind == 6:
-            ops.append(Unwrap(rng.randint(1, 4)))
         else:
             ops.append(MapElem(random_structural_transform(rng, depth + 1)))
     return Transform(tuple(ops))
 
 
 def random_applicable_transform(
-    rng: random.Random, t, max_len: int = 6, allow_wrap: bool = True, depth: int = 0
+    rng: random.Random, t, max_len: int = 6, depth: int = 0
 ) -> Transform:
     """Random transform guaranteed to apply to t, built op by op."""
     applied = []  # application order
@@ -246,10 +241,6 @@ def random_applicable_transform(
                 choices += ["regroup", "regroupinv"]
             if depth < 2:
                 choices.append("mapelem")
-            if allow_wrap:
-                choices.append("unwrap")
-        if allow_wrap:
-            choices.append("wrap")
         pick = rng.choice(choices)
         if pick == "ident":  # I, the identity, is no operation
             continue
@@ -262,17 +253,7 @@ def random_applicable_transform(
         elif pick == "regroupinv":
             op = RegroupInv(rng.choice(divisors(cur.element.size)))
         elif pick == "mapelem":
-            op = MapElem(
-                random_applicable_transform(
-                    rng, cur.element, max_len=3, allow_wrap=allow_wrap, depth=depth + 1
-                )
-            )
-        elif pick == "unwrap":
-            op = Unwrap(cur.size)
-        else:
-            op = Wrap(rng.randint(1, 4))
-        from vectx.type_algebra import apply_op
-
+            op = MapElem(random_applicable_transform(rng, cur.element, max_len=3, depth=depth + 1))
         cur = apply_op(op, cur)
         applied.append(op)
     return Transform(tuple(reversed(applied)))

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 import vectx
+from vectx import errors
 
 ROOT = Path(__file__).resolve().parent.parent
 PYPROJECT = ROOT / "pyproject.toml"
@@ -96,3 +97,24 @@ def test_no_unused_private_helpers():
         and not any(name in r for j, r in enumerate(reads) if j != i)
     ]
     assert unused == []
+
+
+def test_every_error_class_is_raised():
+    # An error class counts as raised where a module in src/vectx calls it,
+    # passes it to a call (a helper that raises it) or subclasses it.
+    classes = {
+        name
+        for name, obj in vars(errors).items()
+        if isinstance(obj, type) and issubclass(obj, errors.VectxError)
+    }
+    used = set()
+    for path in (ROOT / "src" / "vectx").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                names = [node.func, *node.args]
+            elif isinstance(node, ast.ClassDef):
+                names = node.bases
+            else:
+                continue
+            used |= {n.id for n in names if isinstance(n, ast.Name)}
+    assert sorted(classes - used) == []

@@ -363,6 +363,29 @@ TYPECHECK_ERRORS = [
         "fn f: primitive add1 takes 1 arguments but the signature has 2",
     ),
     (
+        "input s :: [[a]<2>]<3>; fn f :: [a]<2> -> [a]<2>; fn f = prim add1; stage g = map f; "
+        "result r = g s",
+        StageTypeError,
+        "fn f: primitive add1 needs an atom, got [a]<2>",
+    ),
+    (
+        "input s :: [[a]<2>]<3>; fn f :: b -> [a]<2> -> b; fn f = prim add; "
+        "stage g = foldl f 0; result r = g s",
+        StageTypeError,
+        "fn f: primitive add needs an atom, got [a]<2>",
+    ),
+    (
+        "input s :: [([a]<2>,[b]<3>)]<4>; fn f :: ([a]<2>,[b]<3>) -> [(a,b)]<2>; "
+        "fn f = prim zipt; stage g = map f; result r = g s",
+        StageTypeError,
+        "fn f: primitive zipt needs equal lengths, got 2 and 3",
+    ),
+    (
+        IN + "fn f :: ([a]<2>,b) -> ([a]<2>,b); fn f = prim swap; result r = s",
+        StageTypeError,
+        "fn f: primitive swap returns (b,[a]<2>) but the signature has ([a]<2>,b)",
+    ),
+    (
         IN + "fn h :: a -> a; fn f :: [a]<2> -> [a]<3>; fn f = elementwise h; result r = s",
         StageTypeError,
         "fn f: elementwise h needs signature [a]<k> -> [a]<k>",

@@ -17,7 +17,6 @@ from vectx.errors import (
     ParseError,
     ShapeError,
     SizeMismatchError,
-    TypeMismatchError,
 )
 from vectx.type_algebra import (
     IDENTITY,
@@ -29,9 +28,7 @@ from vectx.type_algebra import (
     RegroupInv,
     Transform,
     Unlift,
-    Unwrap,
     Vec,
-    Wrap,
     apply_op,
     apply_transform,
     compose,
@@ -112,15 +109,6 @@ def test_regroup_on_flat_vector_is_shape_error():
         apply_op(RegroupInv(2), T("[a]<6>"))
 
 
-def test_wrap_unwrap():
-    assert apply_op(Wrap(3), T("[a]<2>")) == T("[a]<2><3>")
-    assert apply_op(Unwrap(3), T("[a]<2><3>")) == T("[a]<2>")
-    with pytest.raises(TypeMismatchError):
-        apply_op(Unwrap(4), T("[a]<2><3>"))
-    with pytest.raises(TypeMismatchError):
-        apply_op(Unwrap(4), A)
-
-
 def test_ops_distribute_over_pairs():
     t = Pair(T("[a]<4>"), T("[b]<4>"))
     assert apply_transform(TR("R 2 M ( S )"), t) == Pair(
@@ -138,7 +126,7 @@ def test_pair_under_vector_is_a_leaf():
 def test_apply_op_agrees_with_one_op_transform_on_pairs():
     top = Pair(T("[a]<4>"), T("[b]<4>"))
     nested = T("[(a,b)]<4>")
-    for op in (Lift(), MapElem(TR("S")), Wrap(2)):
+    for op in (Lift(), MapElem(TR("S"))):
         for t in (top, nested):
             assert apply_op(op, t) == apply_transform(Transform((op,)), t)
     assert apply_op(MapElem(TR("S")), top) == Pair(T("[a]<1><4>"), T("[b]<1><4>"))
@@ -269,8 +257,6 @@ def test_parse_rejects_zero_size():
     [
         ("R 0", "regroup factor must be >= 1, got 0 at column 3"),
         ("R^-1 0", "regroup factor must be >= 1, got 0 at column 6"),
-        ("V 0", "wrap size must be >= 1, got 0 at column 3"),
-        ("V^-1 0", "wrap size must be >= 1, got 0 at column 6"),
         ("M ( R 0 )", "regroup factor must be >= 1, got 0 at column 7"),
     ],
 )
@@ -337,6 +323,8 @@ PARSE_ERRORS = [
     (parse_transform, "I^-1", ParseError, "I has no inverse marker at column 4"),
     (parse_transform, "M^-1 ( S )", ParseError, "write M ( F^-1 ) rather than M^-1 at column 4"),
     (parse_transform, "Q 2", ParseError, "unknown operation 'Q' at column 2"),
+    (parse_transform, "V 2", ParseError, "unknown operation 'V' at column 2"),
+    (parse_transform, "V^-1 2", ParseError, "unknown operation 'V' at column 4"),
     (parse_transform, "S )", ParseError, "trailing input after transform at column 3"),
     (parse_transform, "M ( S", ParseError, "expected ')' at column 6"),
     (parse_transform, "M S", ParseError, "expected '(' at column 3"),
@@ -396,11 +384,11 @@ def test_transform_parse_example():
 # -- algebraic properties ----------------------------------------------------
 
 
-def test_size_invariance_without_wrap():
+def test_size_invariance():
     rng = random.Random(31)
     for _ in range(300):
         t = random_type(rng, rng.randint(1, 64))
-        tr = random_applicable_transform(rng, t, allow_wrap=False)
+        tr = random_applicable_transform(rng, t)
         assert total_size(apply_transform(tr, t)) == total_size(t)
 
 
@@ -409,7 +397,7 @@ def test_closure_same_atom_same_size():
     for _ in range(200):
         n = rng.randint(1, 64)
         t = random_type(rng, n)
-        out = apply_transform(random_applicable_transform(rng, t, allow_wrap=False), t)
+        out = apply_transform(random_applicable_transform(rng, t), t)
         assert total_size(out) == n
         assert leaf_of(out) == leaf_of(t)
 
@@ -449,8 +437,3 @@ def test_lift_unlift_identities():
         t = random_type(rng, rng.randint(1, 32))
         assert apply_transform(TR("S^-1 S"), t) == t
     assert apply_transform(TR("S S^-1"), T("[a]<1>")) == T("[a]<1>")
-
-
-def test_wrap_excluded_from_size_invariance():
-    t = T("[a]<3>")
-    assert total_size(apply_op(Wrap(4), t)) == 12
